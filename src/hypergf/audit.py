@@ -32,8 +32,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import curves, hyp
-from .chars import quadratic_character, trivial_character
-from .ff import FieldContext, make_field, odd_prime_powers
+from .chars import phi_at_minus_one, quadratic_character, trivial_character
+from .ff import FieldContext, FieldError, make_field, odd_prime_powers, q_cap
 from .hyp import HypSpec, two_f_one
 
 PROVENANCES = ("printed", "corrected", "greene", "ono")
@@ -129,11 +129,6 @@ def _points_lambda_not_one(ctx: FieldContext) -> list[tuple]:
     return [(lam,) for lam in range(ctx.q) if lam != ctx.one]
 
 
-def _points_d(ctx: FieldContext) -> list[tuple]:
-    banned = {ctx.zero, ctx.one, ctx.neg(ctx.one)}
-    return [(d,) for d in range(ctx.q) if d not in banned]
-
-
 def _sqrts(ctx: FieldContext, value: int) -> list[int]:
     return [a for a in range(1, ctx.q) if ctx.mul(a, a) == value]
 
@@ -143,20 +138,15 @@ def _points_sqrt_minus_one(ctx: FieldContext) -> list[tuple]:
 
 
 def _points_sqrt_two_or_half(ctx: FieldContext) -> list[tuple]:
-    two = ctx.add(ctx.one, ctx.one)
+    two = ctx.element(2)
     roots = _sqrts(ctx, two) + _sqrts(ctx, ctx.inv(two))
     return [(a,) for a in sorted(roots)]
-
-
-def _four(ctx: FieldContext) -> int:
-    two = ctx.add(ctx.one, ctx.one)
-    return ctx.add(two, two)
 
 
 def _transform_arg(ctx: FieldContext, a: int) -> int:
     """4a / (1+a)**2."""
     opa = ctx.add(ctx.one, a)
-    return ctx.mul(ctx.mul(_four(ctx), a), ctx.inv(ctx.mul(opa, opa)))
+    return ctx.mul(ctx.mul(ctx.element(4), a), ctx.inv(ctx.mul(opa, opa)))
 
 
 def _printed_curve_rhs(ctx: FieldContext, t: int) -> Fraction:
@@ -168,9 +158,8 @@ def _printed_curve_rhs(ctx: FieldContext, t: int) -> Fraction:
 
 
 def _cornacchia_term(p: int) -> Fraction:
-    ts = hyp.cornacchia(p)
-    sign = -1 if ((ts.x + ts.y + 1) // 2) % 2 else 1
-    return Fraction(2 * ts.x * sign, p - 1) - Fraction(p + 1, p * (p - 1))
+    """2x(-1)^((x+y+1)/2)/(p-1) - (p+1)/(p(p-1)): F(-1) rescaled by p/(p-1)."""
+    return hyp.ono_value_minus1(p) * Fraction(p, p - 1) - Fraction(p + 1, p * (p - 1))
 
 
 def _series_phi_eps_phi(ctx: FieldContext, lam: int) -> Fraction:
@@ -245,10 +234,10 @@ def _build_registry() -> list[Identity]:
         oml, opl = ctx.sub(one, lam), ctx.add(one, lam)
         if variant == "a":
             ratio = _ratio(ctx, oml, opl)
-            return _phi_sign(ctx, ctx.neg(one)) * two_f_one(ctx, ctx.mul(ratio, ratio))
+            return phi_at_minus_one(ctx) * two_f_one(ctx, ctx.mul(ratio, ratio))
         if variant == "b":
             return two_f_one(ctx, _transform_arg(ctx, lam))
-        arg = ctx.mul(ctx.mul(oml, oml), ctx.inv(ctx.neg(ctx.mul(_four(ctx), lam))))
+        arg = ctx.mul(ctx.mul(oml, oml), ctx.inv(ctx.neg(ctx.mul(ctx.element(4), lam))))
         # the as-printed display carries phi(lam) here; the oracle-derived
         # form needs phi(-lam)
         sign_arg = ctx.neg(lam) if corrected else lam
@@ -394,7 +383,7 @@ def _build_registry() -> list[Identity]:
     def greflect(ctx, pt):
         (lam,) = pt
         lhs = two_f_one(ctx, lam)
-        rhs = _phi_sign(ctx, ctx.neg(ctx.one)) * two_f_one(ctx, ctx.sub(ctx.one, lam))
+        rhs = phi_at_minus_one(ctx) * two_f_one(ctx, ctx.sub(ctx.one, lam))
         return lhs, Fraction(rhs)
 
     add("G-reflect", "greene",
@@ -417,8 +406,7 @@ def _build_registry() -> list[Identity]:
     def g316(ctx, pt):
         (lam,) = pt
         lhs = _series_phi_eps_phi(ctx, lam)
-        pm1 = _phi_sign(ctx, ctx.neg(ctx.one))
-        rhs = Fraction(-pm1 * (1 + _phi_sign(ctx, lam)), ctx.q)
+        rhs = Fraction(-phi_at_minus_one(ctx) * (1 + _phi_sign(ctx, lam)), ctx.q)
         return lhs, rhs
 
     add("G-316", "greene",
@@ -432,14 +420,14 @@ def _build_registry() -> list[Identity]:
         d2 = ctx.mul(d, d)
         affine = curves.count_edwards_affine(ctx, curves.EdwardsParams(d2))
         q = ctx.q
-        rhs = 1 + q + q * _phi_sign(ctx, ctx.neg(ctx.one)) * two_f_one(ctx, d2)
+        rhs = 1 + q + q * phi_at_minus_one(ctx) * two_f_one(ctx, d2)
         return Fraction(affine + 4), Fraction(rhs)
 
     add("S-edw", "greene",
         "Edwards affine count plus the empirical 4-point completion (lhs, "
         "oracle) = 1+q+q phi(-1) F(d^2), the quoted Edwards count formula",
         "odd prime powers; d not in {0, 1, -1}",
-        ("lambda",), _points_d, sedw)
+        ("lambda",), _points_lambda(exclude_minus_one=True), sedw)
 
     def ominus1(ctx, pt):
         lhs = two_f_one(ctx, ctx.neg(ctx.one))
@@ -476,26 +464,18 @@ def identity_by_key(key: str) -> Identity:
 # sweeping
 # ---------------------------------------------------------------------------
 
-def _as_prime_power(q: int) -> tuple[int, int]:
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"{q} is not an odd prime power")
-    p = q
-    for d in range(3, q + 1, 2):
-        if q % d == 0:
-            p = d
-            break
-    r = 0
-    rem = q
-    while rem % p == 0 and rem > 1:
-        rem //= p
-        r += 1
-    if rem != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, r
+def capped_prime_powers(q_max: int) -> list[tuple[int, int]]:
+    """All (p, r) with p an odd prime and p**r <= q_max, sorted by q.
+    Raises :class:`FieldError` first if q_max exceeds the field-size cap
+    that :func:`make_field` enforces, so no audit starts that would stop
+    at its largest field."""
+    limit = q_cap()
+    if q_max > limit:
+        raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
+    return odd_prime_powers(q_max)
 
 
-def _records_for(ident: Identity, q: int) -> list[PointRecord]:
-    p, r = _as_prime_power(q)
+def _records_for(ident: Identity, p: int, r: int) -> list[PointRecord]:
     if ident.prime_only and r != 1:
         return []
     ctx = cached_field(p, r)
@@ -506,15 +486,15 @@ def _records_for(ident: Identity, q: int) -> list[PointRecord]:
         lhs, rhs = ident.evaluate(ctx, pt)
         residual = lhs - rhs
         out.append(PointRecord(
-            identity=ident.key, q=q,
+            identity=ident.key, q=ctx.q,
             params=tuple(zip(ident.param_names, pt)),
             lhs=lhs, rhs=rhs, residual=residual, passed=residual == 0))
     return out
 
 
-def _sweep_task(args: tuple[str, int]) -> tuple[str, int, list[PointRecord]]:
-    key, q = args
-    return key, q, _records_for(identity_by_key(key), q)
+def _sweep_task(args: tuple[str, int, int]) -> tuple[str, int, list[PointRecord]]:
+    key, p, r = args
+    return key, p ** r, _records_for(identity_by_key(key), p, r)
 
 
 def _assemble(ident: Identity, per_q: dict[int, list[PointRecord]],
@@ -538,7 +518,11 @@ def audit_identity(key: str, q_values: Iterable[int], *,
     given prime powers."""
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
-    per_q = {q: _records_for(ident, q) for q in q_order}
+    by_q = {p ** r: (p, r) for p, r in capped_prime_powers(max(q_order, default=0))}
+    for q in q_order:
+        if q not in by_q:
+            raise ValueError(f"{q} is not an odd prime power")
+    per_q = {q: _records_for(ident, *by_q[q]) for q in q_order}
     return _assemble(ident, per_q, q_order, cap)
 
 
@@ -551,16 +535,17 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
-    qs = [p ** r for (p, r) in odd_prime_powers(q_max)]
-    tasks = [(ident.key, q) for ident in idents for q in qs]
+    pairs = capped_prime_powers(q_max)
+    qs = [p ** r for p, r in pairs]
+    tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
     results: dict[tuple[str, int], list[PointRecord]] = {}
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, q, recs in pool.map(_sweep_task, tasks, chunksize=4):
                 results[(key, q)] = recs
     else:
-        for key, q in tasks:
-            results[(key, q)] = _records_for(identity_by_key(key), q)
+        for key, q, recs in map(_sweep_task, tasks):
+            results[(key, q)] = recs
     return [
         _assemble(ident, {q: results[(ident.key, q)] for q in qs}, qs, cap)
         for ident in idents

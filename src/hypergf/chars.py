@@ -10,9 +10,9 @@ ranges.
 Two layers live here.  The object layer (:class:`Character`,
 :func:`jacobi_sum`, :func:`binomial_symbol`) returns exact
 :class:`~hypergf.cyclo.GroupRingElement` values.  The integer-vector
-layer (``jacobi_vector``, ``scaled_binomial_vector``, the cached
-tables) is what the sweep kernels use: it accumulates raw counts with
-no canonicalization inside the loops.
+layer (``jacobi_vector``, ``scaled_binomial_vector``) is what the
+sweep kernels use: it accumulates raw counts with no canonicalization
+inside the loops.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class Character:
         return self.j == (self.ctx.q - 1) // 2
 
     def __mul__(self, other: Character) -> Character:
-        if self.ctx != other.ctx:
-            raise ValueError("characters over different fields")
+        _same_field(self, other)
         return Character(self.ctx, self.j + other.j)
 
     def conjugate(self) -> Character:
@@ -120,22 +119,6 @@ def scaled_binomial_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
     if char_sign_at_minus_one(ctx, jb) < 0:
         return [-c for c in vec]
     return vec
-
-
-def scaled_binomial_table(ctx: FieldContext) -> np.ndarray:
-    """Cached (n, n, n) int64 array T with T[ja, jb] = q*(chi_ja choose
-    chi_jb) as a vector.  Intended for fields small enough that the whole
-    symbol table fits comfortably (the property sweeps, q <= 49)."""
-    table = ctx._cache.get("scaled_binomial_table")
-    if table is None:
-        n = ctx.q - 1
-        table = np.empty((n, n, n), dtype=np.int64)
-        for ja in range(n):
-            for jb in range(n):
-                table[ja, jb] = scaled_binomial_vector(ctx, ja, jb)
-        table.setflags(write=False)
-        ctx._cache["scaled_binomial_table"] = table
-    return table
 
 
 # ---------------------------------------------------------------------------

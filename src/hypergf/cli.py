@@ -21,12 +21,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import audit as audit_mod
 from . import curves
+from .audit import _frac_str
 from .chars import Character, binomial_symbol, jacobi_sum
-from .ff import FieldError, make_field, odd_prime_powers
+from .ff import FieldError, make_field
 from .hyp import HypSpec, cornacchia, hyp_eval, ono_value_minus1, two_f_one
 
 
@@ -47,10 +47,6 @@ def _element_arg(text: str):
 
 def _index_list(text: str) -> list[int]:
     return [int(c) for c in text.split(",")]
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _echo_element(ctx, code: int):
@@ -215,7 +211,7 @@ def _cmd_audit(args) -> int:
     if args.qmax < 3:
         raise UsageError("--qmax must be at least 3")
     if args.identity is not None:
-        qs = [p ** r for (p, r) in odd_prime_powers(args.qmax)]
+        qs = [p ** r for (p, r) in audit_mod.capped_prime_powers(args.qmax)]
         try:
             reports = [audit_mod.audit_identity(args.identity, qs)]
         except KeyError as exc:

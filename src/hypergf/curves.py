@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import FieldContext, numpy_tables
+from .ff import FieldContext, NumpyTables, numpy_tables
 
 
 class ParameterError(ValueError):
@@ -126,17 +126,19 @@ def count_huff(ctx: FieldContext, params: HuffParams) -> CurveCount:
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
 
 
+def _weierstrass_fx(t: NumpyTables, a: int, b: int) -> np.ndarray:
+    """x(x+a)(x+b) at every x, indexed by x."""
+    codes = np.arange(t.q)
+    return t.vmul(codes, t.vmul(t.vadd(codes, a), t.vadd(codes, b)))
+
+
 def count_weierstrass(ctx: FieldContext, params: WeierstrassParams) -> CurveCount:
     """Affine solutions of y**2 = x(x+a)(x+b) counted by matching squares
     (the y**2 multiplicity table is built by enumerating every y once);
     one point at infinity."""
     params.validate(ctx)
     t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    xa = t.vadd(codes, params.a)
-    xb = t.vadd(codes, params.b)
-    fx = t.vmul(codes, t.vmul(xa, xb))
-    affine = int(t.nsqrt[fx].sum())
+    affine = int(t.nsqrt[_weierstrass_fx(t, params.a, params.b)].sum())
     return CurveCount(affine=affine, at_infinity=1, total=affine + 1)
 
 
@@ -162,9 +164,8 @@ def count_general_huff_quartic(ctx: FieldContext,
     t = numpy_tables(ctx)
     q = ctx.q
     a, b = params.a, params.b
-    four = ctx.add(ctx.add(ctx.one, ctx.one), ctx.add(ctx.one, ctx.one))
     b2 = ctx.mul(b, b)
-    mid = ctx.sub(ctx.mul(four, a), ctx.add(b, b))        # 4a - 2b
+    mid = ctx.sub(ctx.mul(ctx.element(4), a), ctx.add(b, b))  # 4a - 2b
     codes = np.arange(1, q)                               # nonzero x codes
     x2 = t.sq[codes]
     x4 = t.vmul(x2, x2)
@@ -214,11 +215,7 @@ def _affine_points(grid: np.ndarray) -> list[tuple[int, int]]:
 
 def _weierstrass_points(ctx: FieldContext, a: int, b: int) -> list[tuple[int, int]]:
     t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    xa = t.vadd(codes, a)
-    xb = t.vadd(codes, b)
-    fx = t.vmul(codes, t.vmul(xa, xb))
-    return _affine_points(fx[:, None] == t.sq[None, :])
+    return _affine_points(_weierstrass_fx(t, a, b)[:, None] == t.sq[None, :])
 
 
 def map_points(ctx: FieldContext, source_model: str, target_model: str,

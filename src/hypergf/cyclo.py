@@ -101,23 +101,6 @@ def convolve_cyclic(a, b, n: int) -> list[int]:
     return out
 
 
-def batch_nonzero_mod_cyclotomic(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of rows of an int64 (rows, n) matrix that are nonzero
-    modulo Phi_n.  This is the bulk zero-test behind the property sweeps;
-    callers guarantee magnitudes small enough that the at-most-doubling
-    per elimination step stays inside int64."""
-    phi = np.array(cyclotomic_polynomial(n), dtype=np.int64)
-    deg = len(phi) - 1
-    work = matrix.astype(np.int64, copy=True)
-    for k in range(work.shape[1] - 1, deg - 1, -1):
-        lead = work[:, k].copy()
-        if not lead.any():
-            continue
-        work[:, k] = 0
-        work[:, k - deg:k] -= lead[:, None] * phi[None, :deg]
-    return work[:, :deg].any(axis=1)
-
-
 class GroupRingElement:
     """An exact element of the rational group ring over Z_n.
 
@@ -251,9 +234,11 @@ class GroupRingElement:
         return hash((self.n, self.canonical()))
 
     def __repr__(self):
-        return f"GroupRingElement(n={self.n}, {self._poly_str()})"
+        return f"GroupRingElement(n={self.n}, {self.poly_string()})"
 
-    def _poly_str(self) -> str:
+    def poly_string(self) -> str:
+        """Canonical form rendered as a polynomial in z (a primitive n-th
+        root of unity)."""
         parts = []
         for m, c in enumerate(self.canonical()):
             if not c:
@@ -270,8 +255,3 @@ class GroupRingElement:
         for t in parts[1:]:
             joined += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return joined
-
-    def poly_string(self) -> str:
-        """Canonical form rendered as a polynomial in z (a primitive n-th
-        root of unity)."""
-        return self._poly_str()

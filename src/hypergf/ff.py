@@ -75,49 +75,72 @@ def odd_prime_powers(limit: int) -> list[tuple[int, int]]:
     return sorted(out, key=lambda pr: pr[0] ** pr[1])
 
 
+def _power(mul, one: int, base: int, e: int) -> int:
+    """base**e, e >= 0, by square-and-multiply with the product ``mul``."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        base = mul(base, base)
+        e >>= 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# element codec: an element's code is the base-p number of its coefficient
+# vector (c_0, ..., c_{r-1}), c_0 the most significant digit
+# ---------------------------------------------------------------------------
+
+def _weights(p: int, r: int) -> list[int]:
+    """Place values of the digits (c_0, ..., c_{r-1}) of a code."""
+    return [p ** (r - 1 - i) for i in range(r)]
+
+
+def _digits(code, weights) -> list:
+    """Digits (c_0, ..., c_{r-1}) of an element code, or of a numpy
+    array of codes (one digit array per weight)."""
+    out = []
+    for w in weights:
+        out.append(code // w)
+        code = code % w
+    return out
+
+
+def _code(digits, weights) -> int:
+    """The element code of reduced digits (c_0, ..., c_{r-1})."""
+    return sum(c * w for c, w in zip(digits, weights))
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (dense, low coefficient first, used only at
 # construction time; runtime arithmetic goes through the exp/log tables)
 # ---------------------------------------------------------------------------
 
-def _poly_divmod(num: list[int], den: tuple[int, ...], p: int):
+def _poly_rem(num, den: tuple[int, ...], p: int) -> list[int]:
+    """num modulo the monic den over F_p: the low len(den) - 1 coefficients."""
     num = list(num)
     d = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    quo = [0] * max(1, len(num) - d)
     for k in range(len(num) - 1, d - 1, -1):
-        c = (num[k] * inv_lead) % p
+        c = num[k]
         if c:
-            quo[k - d] = c
             for j in range(d + 1):
                 num[k - d + j] = (num[k - d + j] - c * den[j]) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quo, num
+    return num[:d]
 
 
 def _monic_polys(p: int, deg: int):
     # all monic polynomials of the given degree, lexicographic in (c_0, ..)
-    total = p ** deg
-    for idx in range(total):
-        coeffs = []
-        rem = idx
-        for i in range(deg):
-            power = p ** (deg - 1 - i)
-            coeffs.append(rem // power)
-            rem %= power
-        yield tuple(coeffs) + (1,)
+    weights = _weights(p, deg)
+    for idx in range(p ** deg):
+        yield tuple(_digits(idx, weights)) + (1,)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     # trial division by every monic factor of degree <= deg/2
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for f in _monic_polys(p, d):
-            _, rem = _poly_divmod(list(poly), f, p)
-            if len(rem) == 1 and rem[0] == 0:
+            if not any(_poly_rem(poly, f, p)):
                 return False
     return True
 
@@ -152,7 +175,7 @@ class FieldContext:
         self.gen = gen
         self.exp = exp          # exp[k] = code of gen**k, k in 0..q-2
         self.log = log          # log[code] = dlog, log[0] is None
-        self._pow_weights = [p ** (r - 1 - i) for i in range(r)]
+        self._pow_weights = _weights(p, r)
         self._cache: dict = {}
 
     # -- identity / hashing: a field is determined by (p, r) because the
@@ -174,31 +197,22 @@ class FieldContext:
 
     @property
     def one(self) -> int:
-        return self._pow_weights[0] if self.r > 1 else 1
+        return self._pow_weights[0]
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{r-1}) of the element code x."""
-        out = []
-        for w in self._pow_weights:
-            out.append(x // w)
-            x %= w
-        return tuple(out)
+        return tuple(_digits(x, self._pow_weights))
 
     def from_coeffs(self, coeffs) -> int:
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.r and any(cs[self.r:]):
             raise FieldError(f"coefficient vector longer than degree {self.r}")
-        cs = (cs + [0] * self.r)[: self.r]
-        return sum(c * w for c, w in zip(cs, self._pow_weights))
+        return _code(cs, self._pow_weights)
 
     def element(self, value) -> int:
         """Coerce an int (reduced mod p, constant element) or coefficient
         iterable into an element code."""
-        if isinstance(value, int):
-            if self.r == 1:
-                return value % self.p
-            return self.from_coeffs([value])
-        return self.from_coeffs(list(value))
+        return self.from_coeffs([value] if isinstance(value, int) else value)
 
     def elements(self) -> list[int]:
         """All q element codes in canonical (lexicographic) order."""
@@ -209,22 +223,17 @@ class FieldContext:
     def add(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a + b) % self.p
-        p = self.p
-        return sum(((ca + cb) % p) * w for ca, cb, w in
-                   zip(self.coeffs(a), self.coeffs(b), self._pow_weights))
+        return self.from_coeffs([ca + cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
 
     def sub(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a - b) % self.p
-        p = self.p
-        return sum(((ca - cb) % p) * w for ca, cb, w in
-                   zip(self.coeffs(a), self.coeffs(b), self._pow_weights))
+        return self.from_coeffs([ca - cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
 
     def neg(self, a: int) -> int:
         if self.r == 1:
             return (-a) % self.p
-        return sum(((-c) % self.p) * w for c, w in
-                   zip(self.coeffs(a), self._pow_weights))
+        return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -241,13 +250,7 @@ class FieldContext:
         """a**e by square-and-multiply, e >= 0."""
         if e < 0:
             raise ValueError("pow expects a nonnegative exponent")
-        acc, base = self.one, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return _power(self.mul, self.one, a, e)
 
     def dlog(self, x: int) -> int:
         """Discrete log base gen; defined for nonzero x only."""
@@ -267,22 +270,21 @@ def _poly_mul_mod(a, b, modulus, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    for k in range(len(out) - 1, r - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for j in range(r):
-                out[k - r + j] = (out[k - r + j] - c * modulus[j]) % p
-    return tuple(out[:r])
+    return _poly_rem(out, modulus, p)
 
 
-def _q_cap(cap: int | None) -> int:
+def q_cap(cap: int | None = None) -> int:
+    """The largest field size allowed: ``cap`` if given, else the
+    ``HYPERGF_Q_CAP`` environment variable, else 2**16."""
     if cap is not None:
         return cap
     env = os.environ.get(Q_CAP_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_Q_CAP
+    try:
         return int(env)
-    return DEFAULT_Q_CAP
+    except ValueError:
+        raise FieldError(f"{Q_CAP_ENV_VAR}={env!r} is not an integer") from None
 
 
 def make_field(p: int, r: int = 1, *, cap: int | None = None,
@@ -305,41 +307,22 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
     q = p ** r
-    limit = _q_cap(cap)
+    limit = q_cap(cap)
     if q > limit:
         raise FieldError(f"q={q} exceeds the configured cap {limit}")
 
     modulus = _find_modulus(p, r)
-    weights = [p ** (r - 1 - i) for i in range(r)]
-
-    def decode(code):
-        out = []
-        for w in weights:
-            out.append(code // w)
-            code %= w
-        return tuple(out)
-
-    def encode(coeffs):
-        return sum(c * w for c, w in zip(coeffs, weights))
-
-    one = encode((1,) + (0,) * (r - 1))
+    weights = _weights(p, r)
+    one = weights[0]
 
     def mul_codes(a, b):
-        return encode(_poly_mul_mod(decode(a), decode(b), modulus, p))
+        prod = _poly_mul_mod(_digits(a, weights), _digits(b, weights), modulus, p)
+        return _code(prod, weights)
 
     def order_is_maximal(g):
         # g has order q-1 iff g**((q-1)/l) != 1 for every prime l | q-1
-        for ell in prime_factors(q - 1):
-            e = (q - 1) // ell
-            acc, base = one, g
-            while e:
-                if e & 1:
-                    acc = mul_codes(acc, base)
-                base = mul_codes(base, base)
-                e >>= 1
-            if acc == one:
-                return False
-        return True
+        return all(_power(mul_codes, one, g, (q - 1) // ell) != one
+                   for ell in prime_factors(q - 1))
 
     if generator is None:
         gen = next(g for g in range(1, q) if order_is_maximal(g))
@@ -375,25 +358,14 @@ class NumpyTables:
                  "one_minus", "digits", "weights", "p")
 
     def __init__(self, ctx: FieldContext):
-        q, p, r = ctx.q, ctx.p, ctx.r
+        q, p = ctx.q, ctx.p
         self.q, self.p = q, p
         self.n = q - 1
-        self.log_ = np.zeros(q, dtype=np.int64)
-        for c in range(1, q):
-            self.log_[c] = ctx.log[c]
+        self.log_ = np.array([0] + ctx.log[1:], dtype=np.int64)
         self.exp_ = np.array(ctx.exp, dtype=np.int64)
         codes = np.arange(q)
-        if r == 1:
-            self.digits = codes.reshape(q, 1)
-            self.weights = np.array([1], dtype=np.int64)
-        else:
-            digs = np.empty((q, r), dtype=np.int64)
-            rem = codes.copy()
-            for i, w in enumerate(ctx._pow_weights):
-                digs[:, i] = rem // w
-                rem = rem % w
-            self.digits = digs
-            self.weights = np.array(ctx._pow_weights, dtype=np.int64)
+        self.digits = np.stack(_digits(codes, ctx._pow_weights), axis=1)
+        self.weights = np.array(ctx._pow_weights, dtype=np.int64)
         self.neg_ = ((-self.digits) % p) @ self.weights
         self.sq = self.vmul(codes, codes)
         self.nsqrt = np.bincount(self.sq, minlength=q)

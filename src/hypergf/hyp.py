@@ -26,9 +26,9 @@ from math import isqrt
 
 import numpy as np
 
-from .chars import Character, char_sign_at_minus_one, jacobi_vector
+from .chars import Character, jacobi_vector, scaled_binomial_vector
 from .cyclo import convolve_cyclic, rational_from_vector
-from .ff import FieldContext, is_prime, make_field
+from .ff import FieldContext, FieldError, is_prime, make_field
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,7 @@ def _scaled_binom(ctx: FieldContext, ja: int, jb: int) -> list[int]:
     key = (ja, jb)
     vec = cache.get(key)
     if vec is None:
-        n = ctx.q - 1
-        vec = jacobi_vector(ctx, ja, (-jb) % n)
-        if char_sign_at_minus_one(ctx, jb) < 0:
-            vec = [-c for c in vec]
-        cache[key] = vec
+        vec = cache[key] = scaled_binomial_vector(ctx, ja, jb)
     return vec
 
 
@@ -160,7 +156,7 @@ def cornacchia(p: int) -> TwoSquares:
     (p, s) is then read off at the first remainder below sqrt(p).
     """
     if not is_prime(p) or p % 2 == 0:
-        raise ValueError(f"{p} is not an odd prime")
+        raise FieldError(f"{p} is not an odd prime")
     if p % 4 != 1:
         raise ValueError(f"no two-squares representation: {p} = 3 mod 4")
     g = make_field(p).gen
@@ -178,10 +174,8 @@ def ono_value_minus1(p: int) -> Fraction:
     """Closed-form value of the (phi, phi; eps) sum at -1 over F_p:
     2x(-1)**((x+y+1)/2) / p for p = 1 mod 4 with cornacchia(p) = (x, y),
     and 0 for p = 3 mod 4."""
-    if not is_prime(p) or p % 2 == 0:
-        raise ValueError(f"{p} is not an odd prime")
-    if p % 4 == 3:
+    if p % 4 == 3 and is_prime(p):
         return Fraction(0)
-    ts = cornacchia(p)
+    ts = cornacchia(p)  # raises FieldError unless p is an odd prime
     sign = -1 if ((ts.x + ts.y + 1) // 2) % 2 else 1
     return Fraction(2 * ts.x * sign, p)

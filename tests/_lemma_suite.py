@@ -16,9 +16,42 @@ import random
 
 import numpy as np
 
-from hypergf.chars import char_sign_at_minus_one, jacobi_vector, scaled_binomial_table
-from hypergf.cyclo import batch_nonzero_mod_cyclotomic
+from hypergf.chars import char_sign_at_minus_one, jacobi_vector, scaled_binomial_vector
+from hypergf.cyclo import cyclotomic_polynomial
 from hypergf.ff import FieldContext, numpy_tables
+
+
+def scaled_binomial_table(ctx: FieldContext) -> np.ndarray:
+    """Cached (n, n, n) int64 array T with T[ja, jb] = q*(chi_ja choose
+    chi_jb) as a vector.  Intended for fields small enough that the whole
+    symbol table fits comfortably (the property sweeps, q <= 49)."""
+    table = ctx._cache.get("scaled_binomial_table")
+    if table is None:
+        n = ctx.q - 1
+        table = np.empty((n, n, n), dtype=np.int64)
+        for ja in range(n):
+            for jb in range(n):
+                table[ja, jb] = scaled_binomial_vector(ctx, ja, jb)
+        table.setflags(write=False)
+        ctx._cache["scaled_binomial_table"] = table
+    return table
+
+
+def batch_nonzero_mod_cyclotomic(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of rows of an int64 (rows, n) matrix that are nonzero
+    modulo Phi_n.  This is the bulk zero-test behind the property sweeps;
+    callers guarantee magnitudes small enough that the at-most-doubling
+    per elimination step stays inside int64."""
+    phi = np.array(cyclotomic_polynomial(n), dtype=np.int64)
+    deg = len(phi) - 1
+    work = matrix.astype(np.int64, copy=True)
+    for k in range(work.shape[1] - 1, deg - 1, -1):
+        lead = work[:, k].copy()
+        if not lead.any():
+            continue
+        work[:, k] = 0
+        work[:, k - deg:k] -= lead[:, None] * phi[None, :deg]
+    return work[:, :deg].any(axis=1)
 
 
 def _conv(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

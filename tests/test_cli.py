@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypergf import audit
 from hypergf.cli import run
 
 
@@ -109,6 +110,26 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = _run(capsys, "audit", "--identity", "T9.9", "--qmax", "5")
     assert code == 1
+
+
+@pytest.mark.parametrize("cap, argv", [
+    ("abc", ["eval2f1", "--p", "5", "--lambda", "2"]),
+    (None, ["special", "--p", "9"]),
+    (None, ["special", "--p", "4"]),
+    (None, ["audit", "--identity", "C1", "--qmax", "1000000000"]),
+    ("20", ["audit", "--identity", "C2", "--qmax", "30"]),
+    ("20", ["audit", "--all", "--qmax", "30"]),
+], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
+        "identity-over-cap", "all-over-cap"])
+def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
+    built = []
+    monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
+    monkeypatch.delenv("HYPERGF_Q_CAP", raising=False)
+    if cap is not None:
+        monkeypatch.setenv("HYPERGF_Q_CAP", cap)
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and "usage error" in err
+    assert built == []                  # refused before any field is built
 
 
 def test_audit_exit_codes(capsys):
