@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -530,8 +531,9 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
           cap: int = COUNTEREXAMPLE_CAP) -> list[IdentityReport]:
     """Audit every registry identity (optionally one provenance class)
     over all odd prime powers q <= q_max.  ``jobs`` > 1 fans the
-    (identity, q) grid out over processes; output is independent of the
-    schedule because records are reassembled in sorted order."""
+    (identity, q) grid out over processes, at most one per core and per
+    task; output is independent of the schedule because records are
+    reassembled in sorted order."""
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
@@ -539,7 +541,9 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
     qs = [p ** r for p, r in pairs]
     tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
     results: dict[tuple[str, int], list[PointRecord]] = {}
-    if jobs > 1 and len(tasks) > 1:
+    # the executor forks every worker at once: no more than cores or tasks
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, q, recs in pool.map(_sweep_task, tasks, chunksize=4):
                 results[(key, q)] = recs

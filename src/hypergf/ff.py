@@ -258,10 +258,6 @@ class FieldContext:
             raise ValueError("discrete log of zero is undefined")
         return self.log[x]
 
-    def is_square(self, x: int) -> bool:
-        """True for 0 and for nonzero squares."""
-        return x == 0 or self.log[x] % 2 == 0
-
 
 def _poly_mul_mod(a, b, modulus, p):
     r = len(modulus) - 1

@@ -11,10 +11,14 @@ scaled integer vectors of the symbols and extracts the rational once at
 the end, so the whole computation is exact.
 
 The workhorse is the (phi, phi; eps) specialization
-:func:`two_f_one`, backed by a per-field cache of the squared-symbol
-vectors so that lambda-sweeps cost one table build plus O(q^2) integer
-additions per argument.  Also here: the two-squares decomposition of a
-prime p = 1 mod 4 (Hermite-Serret / Cornacchia, deterministic) and the
+:func:`two_f_one`, evaluated by Greene's sum form
+
+    F(lambda) = phi(-1)/q * sum over y of phi(y) phi(1-y) phi(1-lambda y),
+
+an integer over q: one dot product of length q per argument against the
+per-field cached weights phi(y) phi(1-y), so O(q) work per argument and
+no table.  Also here: the two-squares decomposition of a prime
+p = 1 mod 4 (Hermite-Serret / Cornacchia, deterministic) and the
 closed-form value of the series at -1 built from it.
 """
 
@@ -26,9 +30,10 @@ from math import isqrt
 
 import numpy as np
 
-from .chars import Character, jacobi_vector, scaled_binomial_vector
+# jacobi_vector is unused here; perfbench/spans.py traces it at this binding
+from .chars import Character, jacobi_vector, phi_at_minus_one, scaled_binomial_vector
 from .cyclo import convolve_cyclic, rational_from_vector
-from .ff import FieldContext, FieldError, is_prime, make_field
+from .ff import FieldContext, FieldError, is_prime, make_field, numpy_tables
 
 
 @dataclass(frozen=True)
@@ -86,45 +91,28 @@ def _scaled_binom(ctx: FieldContext, ja: int, jb: int) -> list[int]:
     return vec
 
 
-def _squared_phi_binom_table(ctx: FieldContext) -> np.ndarray:
-    """(n, n) int64 array whose row j is the cyclic square of
-    q*(phi chi_j choose chi_j); the signs square away."""
-    table = ctx._cache.get("squared_phi_binom_table")
-    if table is None:
-        n = ctx.q - 1
-        h = n // 2
-        table = np.empty((n, n), dtype=np.int64)
-        for j in range(n):
-            vec = jacobi_vector(ctx, (h + j) % n, (-j) % n)
-            table[j] = convolve_cyclic(vec, vec, n)
-        table.setflags(write=False)
-        ctx._cache["squared_phi_binom_table"] = table
-    return table
-
-
 def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
     """The (phi, phi; eps) hypergeometric value at lambda, exact.
 
-    Equals q/(q-1) times the sum over all chi of
-    (phi chi choose chi)**2 chi(lambda); the value at 0 is 0 because
-    chi(0) = 0, and 1 is evaluated like any other argument.
+    Greene's sum phi(-1)/q * sum_y phi(y) phi(1-y) phi(1-lambda y): an
+    integer of size at most q over q, O(q) per argument.  The value at 0
+    is 0 (Greene's eps(lambda) factor), and 1 is evaluated like any
+    other argument.  Values are memoized per field.
     """
     memo = ctx._cache.setdefault("two_f_one_values", {})
     val = memo.get(lam)
     if val is not None:
         return val
-    q = ctx.q
-    n = q - 1
     if lam == ctx.zero:
         val = Fraction(0)
     else:
-        table = _squared_phi_binom_table(ctx)
-        dl = ctx.log[lam]
-        rows = np.arange(n)
-        # acc[m] = sum_j table[j, (m - j*dl) mod n]; entries stay far below 2**63
-        idx = (rows[None, :] - rows[:, None] * dl) % n
-        acc = np.take_along_axis(table, idx, axis=1).sum(axis=0)
-        val = rational_from_vector(acc.tolist(), n) / (Fraction(q - 1) * q)
+        t = numpy_tables(ctx)
+        # phi(y) phi(1-y); perfbench/spans.py reads this key to spot a cold call
+        w = ctx._cache.get("squared_phi_binom_table")
+        if w is None:
+            w = ctx._cache["squared_phi_binom_table"] = t.phi * t.phi[t.one_minus]
+        terms = t.phi[t.one_minus[t.vmul(lam, np.arange(ctx.q))]]
+        val = Fraction(phi_at_minus_one(ctx) * int(w @ terms), ctx.q)
     memo[lam] = val
     return val
 

@@ -181,6 +181,37 @@ def test_sweep_deterministic_and_parallel_identical():
     assert emit(sweep(9), "csv") == emit(sweep(9, jobs=2), "csv")
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cores", [3, 10 ** 6])
+def test_sweep_clamps_jobs_to_cores_and_tasks(cores, monkeypatch):
+    from hypergf import audit
+    from hypergf.ff import odd_prime_powers
+
+    seen = []
+    monkeypatch.setattr(audit.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(audit, "ProcessPoolExecutor",
+                        lambda max_workers: _SerialPool(seen, max_workers))
+    got = emit(sweep(5, jobs=10_000), "json")
+    tasks = len(registry()) * len(odd_prime_powers(5))
+    assert seen == [min(cores, tasks)]
+    assert got == emit(sweep(5), "json")
+
+
 def test_prime_only_identities_skip_extensions():
     rep = audit_identity("O-minus1", [9, 25])
     assert rep.records == [] and rep.status == "PASS"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -100,6 +101,21 @@ def test_denominator_bound(p, r, field):
     for lam in range(q):
         scaled = q * (q - 1) * two_f_one(ctx, lam)
         assert scaled.denominator == 1
+
+
+@pytest.mark.parametrize("p,r", [(2003, 1), (65521, 1), (3, 9)])
+def test_series_matches_counts_at_large_fields(p, r, field):
+    # the other series tests stop at q <= 49; these reach the field-size cap
+    ctx = field(p, r)
+    q = ctx.q
+    pm1 = 1 if q % 4 == 1 else -1
+    rng = random.Random(q)
+    lams = [lam for lam in rng.sample(range(q), 10) if lam not in (ctx.zero, ctx.one)]
+    for lam in lams[:8]:
+        value = two_f_one(ctx, lam)
+        assert value == _curve_value(ctx, lam)
+        assert (q * value).denominator == 1
+        assert value == pm1 * two_f_one(ctx, ctx.sub(ctx.one, lam))
 
 
 def test_generator_choice_does_not_change_values(field):
