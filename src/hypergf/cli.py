@@ -213,11 +213,12 @@ def _cmd_audit(args) -> int:
     if args.identity is not None:
         qs = [p ** r for (p, r) in audit_mod.capped_prime_powers(args.qmax)]
         try:
-            reports = [audit_mod.audit_identity(args.identity, qs)]
+            ident = audit_mod.identity_by_key(args.identity)
         except KeyError as exc:
             raise UsageError(str(exc)) from None
-        if args.provenance and reports[0].provenance != args.provenance:
-            reports = []
+        reports = []
+        if not args.provenance or ident.provenance == args.provenance:
+            reports = [audit_mod.audit_identity(args.identity, qs)]
     else:
         reports = audit_mod.sweep(args.qmax, include=args.provenance, jobs=args.jobs)
     sys.stdout.write(audit_mod.emit(reports, args.format).decode())

@@ -8,6 +8,21 @@ homogenized equations: three for the Huff models, one for Weierstrass;
 the Edwards count is reported affine-only and any completion convention
 is left to the caller.
 
+The audit needs whole families of curves over one field, so each count
+also has a family form (``general_huff_family``, ``huff_family``,
+``weierstrass_family``, ``general_huff_quartic_family``,
+``edwards_affine_family``): a memoized, read-only int64 table of the
+totals at every parameter, -1 where the parameters are invalid.  They
+count what the per-parameter functions count, with no characters beyond
+the quartic route's own and no discriminant shortcut.  The three
+exhaustive models use that each defining equation is linear in its
+parameters: an affine pair lies on every curve of the family, on none,
+or fixes the parameter (for general Huff, b for each a), so every pair
+is still visited and the solved parameters are bincounted.  General
+Huff, Weierstrass and the quartic route cost O(q**3) for the whole
+(a, b) family, Huff and Edwards O(q**2); tables are built row by row
+over a, so no build holds more than O(q**2) elements at once.
+
 Also here: the rational maps between the general Huff model and the
 Weierstrass model v**2 = u(u+a)(u+b), applied pointwise with their
 exceptional loci counted rather than skipped.
@@ -16,6 +31,7 @@ exceptional loci counted rather than skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -173,6 +189,128 @@ def count_general_huff_quartic(ctx: FieldContext,
     s = int(t.phi[val].sum())
     affine = q + s                                        # 1 + (q-1) + sum
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
+
+
+# ---------------------------------------------------------------------------
+# whole families, counted once per field
+# ---------------------------------------------------------------------------
+
+def _per_field(build):
+    """Memoize ``build(ctx)`` in ``ctx._cache`` as a read-only table."""
+    key = build.__name__
+
+    @wraps(build)
+    def family(ctx: FieldContext) -> np.ndarray:
+        table = ctx._cache.get(key)
+        if table is None:
+            table = build(ctx)
+            table.flags.writeable = False
+            ctx._cache[key] = table
+        return table
+    return family
+
+
+def _vinv(t: NumpyTables, a) -> np.ndarray:
+    """1/a for nonzero codes a."""
+    return t.exp_[(-t.log_[a]) % t.n]
+
+
+def _excluded_ab(table: np.ndarray, bad_pair: np.ndarray) -> np.ndarray:
+    """-1 where a = 0, b = 0 or ``bad_pair[a, b]``."""
+    table[bad_pair] = -1
+    table[0, :] = table[:, 0] = -1
+    return table
+
+
+@_per_field
+def general_huff_family(ctx: FieldContext) -> np.ndarray:
+    """``count_general_huff(ctx, GeneralHuffParams(a, b)).total`` at
+    ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
+    # a x y^2 - b x^2 y = x - y: the origin lies on every curve, the other
+    # axis points on none, and x y != 0 fixes b = a (y/x) - (x-y)/(x^2 y)
+    t = numpy_tables(ctx)
+    q = ctx.q
+    nz = np.arange(1, q)
+    x, y = nz[:, None], nz[None, :]
+    inv_x2y = _vinv(t, t.vmul(t.sq[x], y))
+    slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y)           # y/x
+    offset = t.vmul(t.vsub(x, y), inv_x2y)                # (x-y)/(x^2 y)
+    table = np.empty((q, q), dtype=np.int64)
+    for a in range(1, q):
+        b = t.vsub(t.vmul(a, slope), offset)
+        table[a] = 1 + 3 + np.bincount(b.ravel(), minlength=q)
+    return _excluded_ab(table, np.eye(q, dtype=bool))
+
+
+@_per_field
+def huff_family(ctx: FieldContext) -> np.ndarray:
+    """``count_huff(ctx, HuffParams(a, b)).total`` at ``[a, b]`` for every
+    (a, b), -1 where the parameters are invalid."""
+    # a A = b B with A = x(y^2-1), B = y(x^2-1): pairs with A = B = 0 lie
+    # on every curve, pairs with A B != 0 on the curves with b/a = A/B
+    t = numpy_tables(ctx)
+    q = ctx.q
+    codes = np.arange(q)
+    sq_m1 = t.vsub(t.sq, ctx.one)
+    big_a = t.vmul(codes[:, None], sq_m1[None, :])
+    big_b = t.vmul(sq_m1[:, None], codes[None, :])
+    every = int(((big_a == 0) & (big_b == 0)).sum())
+    solved = (big_a != 0) & (big_b != 0)
+    hist = np.bincount(t.vmul(big_a[solved], _vinv(t, big_b[solved])), minlength=q)
+    table = 3 + every + hist[t.vmul(codes[None, :], _vinv(t, codes)[:, None])]
+    return _excluded_ab(table, t.sq[:, None] == t.sq[None, :])
+
+
+@_per_field
+def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
+    """``count_edwards_affine(ctx, EdwardsParams(d2))`` at ``[d2]`` for
+    every d2, -1 at d2 in {0, 1}."""
+    # x^2 + y^2 - 1 = d2 x^2 y^2: pairs with x y = 0 and x^2 + y^2 = 1 lie
+    # on every curve, the others fix d2
+    t = numpy_tables(ctx)
+    lhs = t.vsub(t.vadd(t.sq[:, None], t.sq[None, :]), ctx.one)
+    prod = t.vmul(t.sq[:, None], t.sq[None, :])
+    axis = prod == 0
+    every = int((axis & (lhs == 0)).sum())
+    d2 = t.vmul(lhs[~axis], _vinv(t, prod[~axis]))
+    table = every + np.bincount(d2, minlength=ctx.q)
+    table[[ctx.zero, ctx.one]] = -1
+    return table
+
+
+@_per_field
+def weierstrass_family(ctx: FieldContext) -> np.ndarray:
+    """``count_weierstrass(ctx, WeierstrassParams(a, b)).total`` at
+    ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
+    t = numpy_tables(ctx)
+    q = ctx.q
+    codes = np.arange(q)
+    x_plus_b = t.vadd(codes[:, None], codes[None, :])     # [x, b]
+    table = np.empty((q, q), dtype=np.int64)
+    for a in range(1, q):
+        fx = t.vmul(t.vmul(codes, t.vadd(codes, a))[:, None], x_plus_b)
+        table[a] = 1 + t.nsqrt[fx].sum(axis=0)
+    return _excluded_ab(table, np.eye(q, dtype=bool))
+
+
+@_per_field
+def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
+    """``count_general_huff_quartic(ctx, GeneralHuffParams(a, b)).total``
+    at ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
+    t = numpy_tables(ctx)
+    q = ctx.q
+    codes = np.arange(q)
+    x2 = t.sq[1:, None]                                   # nonzero x
+    two_b = t.vadd(codes, codes)[None, :]
+    # b^2 x^4 - 2b x^2 + 1 at [x, b]; row a adds 4a x^2
+    rest = t.vadd(t.vsub(t.vmul(t.sq[None, :], t.vmul(x2, x2)), t.vmul(two_b, x2)),
+                  ctx.one)
+    four = ctx.element(4)
+    table = np.empty((q, q), dtype=np.int64)
+    for a in range(1, q):
+        val = t.vadd(rest, t.vmul(ctx.mul(four, a), x2))
+        table[a] = q + 3 + t.phi[val].sum(axis=0)
+    return _excluded_ab(table, np.eye(q, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import _lemma_suite
 from hypergf import (
+    EdwardsParams,
     GeneralHuffParams,
     HuffParams,
     HypSpec,
     WeierstrassParams,
     audit_identity,
     cornacchia,
+    count_edwards_affine,
     count_general_huff,
     count_general_huff_quartic,
     count_huff,
@@ -33,6 +35,13 @@ from hypergf import (
 )
 from hypergf.audit import cached_field
 from hypergf.cli import run as cli_run
+from hypergf.curves import (
+    edwards_affine_family,
+    general_huff_family,
+    general_huff_quartic_family,
+    huff_family,
+    weierstrass_family,
+)
 from hypergf.ff import is_prime, odd_prime_powers
 
 LEMMA_GRID = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1),
@@ -70,6 +79,8 @@ def test_criterion_2_oracle_cross_consistency():
     for p, r in odd_prime_powers(49):
         ctx = cached_field(p, r)
         q = ctx.q
+        g_fam, w_fam = general_huff_family(ctx), weierstrass_family(ctx)
+        t_fam, h_fam = general_huff_quartic_family(ctx), huff_family(ctx)
         for a in range(1, q):
             for b in range(1, q):
                 if a == b:
@@ -81,12 +92,22 @@ def test_criterion_2_oracle_cross_consistency():
                     failures.append(("ghuff!=weier", q, a, b, g, w))
                 if t != g:
                     failures.append(("quartic!=ghuff", q, a, b, t, g))
+                if (g_fam[a, b], w_fam[a, b], t_fam[a, b]) != (g, w, t):
+                    failures.append(("family!=count", q, a, b, g, w, t))
                 if ctx.mul(a, a) != ctx.mul(b, b):
                     h = count_huff(ctx, HuffParams(a, b)).total
                     g2 = count_general_huff(
                         ctx, GeneralHuffParams(ctx.mul(a, a), ctx.mul(b, b))).total
                     if h != g2:
                         failures.append(("huff!=ghuff(a2,b2)", q, a, b, h, g2))
+                    if h_fam[a, b] != h:
+                        failures.append(("huff family!=count", q, a, b, h))
+        e_fam = edwards_affine_family(ctx)
+        for d2 in range(q):
+            if d2 not in (ctx.zero, ctx.one):
+                e = count_edwards_affine(ctx, EdwardsParams(d2))
+                if e_fam[d2] != e:
+                    failures.append(("edwards family!=count", q, d2, e))
     anchors = [
         (count_general_huff(cached_field(5, 1), GeneralHuffParams(1, 4)).total, 8),
         (count_huff(cached_field(5, 1), HuffParams(1, 2)).total, 8),

@@ -158,3 +158,12 @@ def test_repeat_runs_byte_identical(capsys):
     _, audit1, _ = _run(capsys, "audit", "--all", "--qmax", "7")
     _, audit2, _ = _run(capsys, "audit", "--all", "--qmax", "7")
     assert audit1 == audit2
+
+
+def test_audit_provenance_mismatch_computes_nothing(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
+    code, out, _ = _run(capsys, "audit", "--identity", "C2",
+                        "--provenance", "printed", "--qmax", "49")
+    assert (code, out) == (0, "[]\n")
+    assert built == []                  # no field built for a filtered-out identity

@@ -1,6 +1,9 @@
+import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergf import (
     CurveCount,
@@ -16,7 +19,23 @@ from hypergf import (
     count_weierstrass,
     map_points,
 )
+from hypergf.audit import cached_field, identity_by_key
+from hypergf.curves import (
+    edwards_affine_family,
+    general_huff_family,
+    general_huff_quartic_family,
+    huff_family,
+    weierstrass_family,
+)
 from hypergf.ff import odd_prime_powers
+
+# (family table, its per-parameter counter, the counter's parameters)
+AB_FAMILIES = [
+    (general_huff_family, count_general_huff, GeneralHuffParams),
+    (huff_family, count_huff, HuffParams),
+    (weierstrass_family, count_weierstrass, WeierstrassParams),
+    (general_huff_quartic_family, count_general_huff_quartic, GeneralHuffParams),
+]
 
 
 def _brute_general_huff(p, a, b):
@@ -167,3 +186,72 @@ def test_map_points_huff_pairs(field):
         map_points(ctx, "huff", "edwards", HuffParams(1, 4))  # b/a = -1
     with pytest.raises(ParameterError):
         map_points(ctx, "edwards", "huff", HuffParams(1, 2))
+
+
+def _valid(params, ctx):
+    try:
+        params.validate(ctx)
+    except ParameterError:
+        return False
+    return True
+
+
+def _reference(count, params, ctx, *args):
+    """The per-parameter count, or -1 where the parameters are invalid."""
+    try:
+        result = count(ctx, params(*args))
+    except ParameterError:
+        return -1
+    return getattr(result, "total", result)
+
+
+@pytest.mark.parametrize("p,r", [(3, 4), (101, 1)])
+def test_family_tables_match_counts(p, r, field):
+    ctx = field(p, r)
+    q = ctx.q
+    rng = random.Random(q)
+    sample = [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+    for family, count, params in AB_FAMILIES:
+        table = family(ctx)
+        assert table.shape == (q, q) and table.dtype.kind == "i"
+        for a, b in sample:
+            assert table[a, b] == _reference(count, params, ctx, a, b), (a, b)
+        # -1 exactly where validate() raises
+        invalid = [[not _valid(params(a, b), ctx) for b in range(q)] for a in range(q)]
+        assert ((table == -1) == invalid).all()
+    edw = edwards_affine_family(ctx)
+    assert edw.shape == (q,)
+    for d2 in range(q):
+        assert edw[d2] == _reference(count_edwards_affine, EdwardsParams, ctx, d2), d2
+
+
+def test_family_tables_are_cached_and_read_only(field):
+    ctx = field(13)
+    for family in (general_huff_family, huff_family, weierstrass_family,
+                   general_huff_quartic_family, edwards_affine_family):
+        table = family(ctx)
+        assert family(ctx) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
+@st.composite
+def _field_and_pair(draw):
+    p, r = draw(st.sampled_from(odd_prime_powers(49)))
+    q = p ** r
+    a = draw(st.integers(1, q - 1))
+    b = draw(st.integers(1, q - 1).filter(lambda b: b != a))
+    return cached_field(p, r), a, b
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_field_and_pair())
+def test_family_tables_and_c2_on_random_pairs(drawn):
+    ctx, a, b = drawn
+    lhs, rhs = identity_by_key("C2").evaluate(ctx, (a, b))
+    assert lhs == rhs
+    for family, count, params in AB_FAMILIES:
+        assert family(ctx)[a, b] == _reference(count, params, ctx, a, b)
+    if b != ctx.one:
+        assert edwards_affine_family(ctx)[b] == count_edwards_affine(ctx, EdwardsParams(b))
