@@ -20,9 +20,17 @@ otherwise the directly-evaluated series side; each description says
 which.  Reports are deterministic: records are sorted by (q, params)
 and repeated sweeps emit byte-identical output.
 
-Evaluators over (a, b) or d2 families read the oracle side from the
-per-field family tables of :mod:`hypergf.curves`, built once per field
-and cached with it, instead of recounting one curve per point.
+Each identity is evaluated over its whole domain in a field at once.
+By Greene's sum q F(lambda) is an integer, so every side of every
+identity is an integer over a denominator fixed per (identity, field):
+1, q, q-1, q^2, p(p-1), or for G-316 the lcm of the generic evaluator's
+values.  An evaluator returns each side as a :class:`Column` of int64
+numerators over that denominator.  It reads the per-field family tables
+of :mod:`hypergf.curves`, the field's :class:`NumpyTables` and one
+per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
+and pass flags are integer column arithmetic, :func:`emit` renders rows
+straight from the columns, and ``Fraction`` appears only in the
+``PointRecord``s a report builds when its ``records`` are first read.
 """
 
 from __future__ import annotations
@@ -34,7 +42,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Callable, Iterable
+
+import numpy as np
 
 from . import curves, hyp
 from .chars import phi_at_minus_one, quadratic_character, trivial_character
@@ -47,14 +59,41 @@ COUNTEREXAMPLE_CAP = 100
 
 
 @dataclass(frozen=True)
+class Column:
+    """Exact rationals ``num[i] / den``: int64 numerators over one
+    positive denominator, not reduced."""
+
+    num: np.ndarray
+    den: int
+
+    def fractions(self) -> list[Fraction]:
+        """Every entry as a Fraction, one object per distinct numerator."""
+        distinct, where = np.unique(self.num, return_inverse=True)
+        made = np.empty(len(distinct), dtype=object)
+        made[:] = [Fraction(int(n), self.den) for n in distinct]
+        return made[where].tolist()
+
+    def reduced(self) -> tuple[list[int], list[int]]:
+        """Numerators and denominators in lowest terms, as Fraction keeps
+        them."""
+        g = np.gcd(self.num, self.den)
+        return (self.num // g).tolist(), (self.den // g).tolist()
+
+
+@dataclass(frozen=True)
 class Identity:
+    """One registry entry.  ``points(ctx)`` is its domain in an admissible
+    field, an (n, k) int array of parameter rows in sorted order;
+    ``evaluate(ctx, params)`` returns the exact (lhs, rhs) columns at the
+    rows of ``params``, which may be a whole domain or a single point."""
+
     key: str
     provenance: str
     description: str
     domain_description: str
     param_names: tuple[str, ...]
-    points: Callable[[FieldContext], list[tuple]]
-    evaluate: Callable[[FieldContext, tuple], tuple[Fraction, Fraction]]
+    points: Callable[[FieldContext], np.ndarray]
+    evaluate: Callable[[FieldContext, np.ndarray], tuple[Column, Column]]
     prime_only: bool = False
     field_admissible: Callable[[FieldContext], bool] = lambda ctx: True
     counterpart: str | None = None
@@ -71,14 +110,45 @@ class PointRecord:
     passed: bool
 
 
+@dataclass(frozen=True)
+class FieldColumns:
+    """One identity over its domain in one field: the parameter rows and
+    the exact lhs, rhs and residual columns."""
+
+    identity: str
+    q: int
+    param_names: tuple[str, ...]
+    params: np.ndarray
+    lhs: Column
+    rhs: Column
+    residual: Column
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.residual.num == 0
+
+    def records(self, rows=slice(None)) -> list[PointRecord]:
+        """The records of the given rows, in order."""
+        sides = [Column(c.num[rows], c.den).fractions()
+                 for c in (self.lhs, self.rhs, self.residual)]
+        return [PointRecord(self.identity, self.q, tuple(zip(self.param_names, pt)), *row)
+                for pt, *row in zip(self.params[rows].tolist(), *sides,
+                                    self.passed[rows].tolist())]
+
+
 @dataclass
 class IdentityReport:
+    """One identity audited over a list of fields.  ``columns`` holds one
+    :class:`FieldColumns` per admissible field, in q order; ``records``
+    passed as None are built from them the first time they are read."""
+
     identity: str
     provenance: str
     domain: str
     records: list[PointRecord]
     counterexamples: list[PointRecord] = field(default_factory=list)
     truncated: bool = False
+    columns: tuple[FieldColumns, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def status(self) -> str:
@@ -89,11 +159,31 @@ class IdentityReport:
         return not self.counterexamples
 
 
+def _get_records(report: IdentityReport) -> list[PointRecord]:
+    if report._records is None:
+        report._records = [rec for block in report.columns for rec in block.records()]
+    return report._records
+
+
+def _set_records(report: IdentityReport, records: list[PointRecord] | None) -> None:
+    report._records = records
+
+
+# a property set after the dataclass is built, so that __init__ keeps its
+# ``records`` argument and a None there defers the build to the first read
+IdentityReport.records = property(_get_records, _set_records)
+
+
 # ---------------------------------------------------------------------------
 # shared evaluation helpers
 # ---------------------------------------------------------------------------
 
 _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
+
+# every numerator the evaluators form over F_q, residuals included, is
+# below 4 q^3 in absolute value (see _check_headroom); audits are refused
+# unless that stays below 2^62, so the difference of two still fits int64
+_SAFE_INT64 = 2 ** 62
 
 
 def cached_field(p: int, r: int) -> FieldContext:
@@ -103,73 +193,96 @@ def cached_field(p: int, r: int) -> FieldContext:
     return ctx
 
 
-def _phi_sign(ctx: FieldContext, x: int) -> int:
-    return int(numpy_tables(ctx).phi[x])
+def _scaled(num: np.ndarray, factor: int) -> np.ndarray:
+    """``num * factor``, raising OverflowError where int64 would wrap."""
+    peak = int(np.abs(num).max(initial=0))
+    if peak * factor >= _SAFE_INT64:
+        raise OverflowError(f"audit numerator {peak} * {factor} leaves int64")
+    return num * factor
 
 
-def _ratio(ctx: FieldContext, num: int, den: int) -> int:
-    return ctx.mul(num, ctx.inv(den))
+def _residual(lhs: Column, rhs: Column) -> Column:
+    den = lcm(lhs.den, rhs.den)
+    return Column(_scaled(lhs.num, den // lhs.den) - _scaled(rhs.num, den // rhs.den), den)
 
 
-def _points_ab(ctx: FieldContext) -> list[tuple]:
-    return [(a, b) for a in range(1, ctx.q) for b in range(1, ctx.q) if b != a]
+def _times(value: Fraction, k: int) -> int:
+    """``value * k``, which must be an integer."""
+    num, rem = divmod(value.numerator * k, value.denominator)
+    if rem:
+        raise ArithmeticError(f"{value} * {k} is not an integer")
+    return num
 
 
-def _points_huff_ab(ctx: FieldContext) -> list[tuple]:
-    return [(a, b) for a in range(1, ctx.q) for b in range(1, ctx.q)
-            if ctx.mul(a, a) != ctx.mul(b, b)]
+def _series_column(ctx: FieldContext) -> np.ndarray:
+    """q F(lambda) at every lambda code by :func:`two_f_one`, read-only and
+    cached with the field."""
+    col = ctx._cache.get("series_column")
+    if col is None:
+        col = np.array([_times(two_f_one(ctx, lam), ctx.q) for lam in range(ctx.q)],
+                       dtype=np.int64)
+        col.flags.writeable = False
+        ctx._cache["series_column"] = col
+    return col
 
 
-def _points_lambda(exclude_minus_one: bool):
-    def points(ctx: FieldContext) -> list[tuple]:
-        banned = {ctx.zero, ctx.one}
-        if exclude_minus_one:
-            banned.add(ctx.neg(ctx.one))
-        return [(lam,) for lam in range(ctx.q) if lam not in banned]
+def _rows(params) -> np.ndarray:
+    """``params``, an (n, k) array or one k-tuple, as k columns of n."""
+    rows = np.asarray(params, dtype=np.int64)
+    return (rows[None] if rows.ndim == 1 else rows).T
+
+
+def _transform_arg(ctx: FieldContext, a: np.ndarray) -> np.ndarray:
+    """4a / (1+a)**2."""
+    t = numpy_tables(ctx)
+    return t.vmul(t.vmul(ctx.element(4), a), t.vinv(t.sq[t.vadd(ctx.one, a)]))
+
+
+def _cornacchia_num(p: int) -> int:
+    """2x(-1)^((x+y+1)/2)/(p-1) - (p+1)/(p(p-1)), F(-1) rescaled by
+    p/(p-1), times p(p-1)."""
+    return _times(hyp.ono_value_minus1(p), p * p) - (p + 1)
+
+
+# ---------------------------------------------------------------------------
+# domains: parameter rows in sorted order
+# ---------------------------------------------------------------------------
+
+def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
+    mask[0, :] = mask[:, 0] = False
+    return np.argwhere(mask)
+
+
+def _points_ab(ctx: FieldContext) -> np.ndarray:
+    codes = np.arange(ctx.q)
+    return _nonzero_pairs(codes[:, None] != codes[None, :])
+
+
+def _points_huff_ab(ctx: FieldContext) -> np.ndarray:
+    sq = numpy_tables(ctx).sq
+    return _nonzero_pairs(sq[:, None] != sq[None, :])
+
+
+def _points_lambda(banned: Callable[[FieldContext], list[int]]):
+    def points(ctx: FieldContext) -> np.ndarray:
+        keep = np.ones(ctx.q, dtype=bool)
+        keep[banned(ctx)] = False
+        return np.flatnonzero(keep)[:, None]
     return points
 
 
-def _points_lambda_not_one(ctx: FieldContext) -> list[tuple]:
-    return [(lam,) for lam in range(ctx.q) if lam != ctx.one]
+def _points_roots(squares: Callable[[FieldContext], list[int]]):
+    def points(ctx: FieldContext) -> np.ndarray:
+        return np.flatnonzero(np.isin(numpy_tables(ctx).sq, squares(ctx)))[:, None]
+    return points
 
 
-def _sqrts(ctx: FieldContext, value: int) -> list[int]:
-    return [a for a in range(1, ctx.q) if ctx.mul(a, a) == value]
-
-
-def _points_sqrt_minus_one(ctx: FieldContext) -> list[tuple]:
-    return [(a,) for a in _sqrts(ctx, ctx.neg(ctx.one))]
-
-
-def _points_sqrt_two_or_half(ctx: FieldContext) -> list[tuple]:
-    two = ctx.element(2)
-    roots = _sqrts(ctx, two) + _sqrts(ctx, ctx.inv(two))
-    return [(a,) for a in sorted(roots)]
-
-
-def _transform_arg(ctx: FieldContext, a: int) -> int:
-    """4a / (1+a)**2."""
-    opa = ctx.add(ctx.one, a)
-    return ctx.mul(ctx.mul(ctx.element(4), a), ctx.inv(ctx.mul(opa, opa)))
-
-
-def _printed_curve_rhs(ctx: FieldContext, t: int) -> Fraction:
-    """q + 2 - 1/(q-1) - (2 + 1/(q-1)) phi(t) + q^2/(q-1) * F(t)."""
-    q = ctx.q
-    return (Fraction(q + 2) - Fraction(1, q - 1)
-            - (2 + Fraction(1, q - 1)) * _phi_sign(ctx, t)
-            + Fraction(q * q, q - 1) * two_f_one(ctx, t))
-
-
-def _cornacchia_term(p: int) -> Fraction:
-    """2x(-1)^((x+y+1)/2)/(p-1) - (p+1)/(p(p-1)): F(-1) rescaled by p/(p-1)."""
-    return hyp.ono_value_minus1(p) * Fraction(p, p - 1) - Fraction(p + 1, p * (p - 1))
-
-
-def _series_phi_eps_phi(ctx: FieldContext, lam: int) -> Fraction:
-    phi = quadratic_character(ctx)
-    eps = trivial_character(ctx)
-    return hyp.hyp_eval(HypSpec(top=(phi, eps), bottom=(phi,), x=lam))
+_points_lambda_not_0_pm1 = _points_lambda(lambda ctx: [ctx.zero, ctx.one, ctx.neg(ctx.one)])
+_points_lambda_not_0_1 = _points_lambda(lambda ctx: [ctx.zero, ctx.one])
+_points_lambda_not_one = _points_lambda(lambda ctx: [ctx.one])
+_points_sqrt_minus_one = _points_roots(lambda ctx: [ctx.neg(ctx.one)])
+_points_sqrt_two_or_half = _points_roots(
+    lambda ctx: [ctx.element(2), ctx.inv(ctx.element(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +297,27 @@ def _build_registry() -> list[Identity]:
 
     # ---- printed forms (audited verbatim; FAIL expected for most) --------
 
-    def t41(ctx, pt):
-        a, b = pt
-        lhs = int(curves.general_huff_family(ctx)[a, b])
-        return Fraction(lhs), _printed_curve_rhs(ctx, _ratio(ctx, b, a))
+    def printed_curve(family):
+        def ev(ctx, params):
+            a, b = _rows(params)
+            t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
+            ratio = t.vmul(b, t.vinv(a))
+            # the printed closed form at t = b/a, times q-1
+            rhs = (q + 2) * (q - 1) - 1 - (2 * q - 1) * t.phi[ratio] + q * series[ratio]
+            return Column(family(ctx)[a, b], 1), Column(rhs, q - 1)
+        return ev
 
     add("T4.1", "printed",
         "general Huff count (oracle, lhs) vs the as-printed closed form "
         "q+2-1/(q-1)-(2+1/(q-1))phi(b/a)+q^2/(q-1) F(b/a)",
         "odd prime powers; a, b nonzero, a != b",
-        ("a", "b"), _points_ab, t41, counterpart="C2")
+        ("a", "b"), _points_ab, printed_curve(curves.general_huff_family),
+        counterpart="C2")
 
-    def t41_proof(ctx, pt):
-        a, b = pt
-        lhs = int(curves.general_huff_family(ctx)[a, b])
-        quartic = int(curves.general_huff_quartic_family(ctx)[a, b])
-        return Fraction(lhs), Fraction(quartic + 1)
+    def t41_proof(ctx, params):
+        a, b = _rows(params)
+        quartic = curves.general_huff_quartic_family(ctx)[a, b]
+        return Column(curves.general_huff_family(ctx)[a, b], 1), Column(quartic + 1, 1)
 
     add("T4.1-proof", "printed",
         "general Huff count (oracle, lhs) vs the as-printed intermediate "
@@ -208,13 +326,12 @@ def _build_registry() -> list[Identity]:
         "odd prime powers; a, b nonzero, a != b",
         ("a", "b"), _points_ab, t41_proof, counterpart="C2")
 
-    def c42(ctx, pt):
-        a, b = pt
-        lhs = int(curves.huff_family(ctx)[a, b])
-        t = _ratio(ctx, ctx.mul(b, b), ctx.mul(a, a))
-        q = ctx.q
-        rhs = Fraction(q) - Fraction(2, q - 1) + Fraction(q * q, q - 1) * two_f_one(ctx, t)
-        return Fraction(lhs), rhs
+    def c42(ctx, params):
+        a, b = _rows(params)
+        t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
+        ratio = t.vmul(t.sq[b], t.vinv(t.sq[a]))
+        rhs = q * (q - 1) - 2 + q * series[ratio]
+        return Column(curves.huff_family(ctx)[a, b], 1), Column(rhs, q - 1)
 
     add("C4.2", "printed",
         "Huff count (oracle, lhs) vs the as-printed closed form "
@@ -222,39 +339,35 @@ def _build_registry() -> list[Identity]:
         "odd prime powers; a, b nonzero, a^2 != b^2",
         ("a", "b"), _points_huff_ab, c42, counterpart="C3")
 
-    def c51(ctx, pt):
-        a, b = pt
-        lhs = int(curves.weierstrass_family(ctx)[a, b])
-        return Fraction(lhs), _printed_curve_rhs(ctx, _ratio(ctx, b, a))
-
     add("C5.1", "printed",
         "Weierstrass y^2=x(x+a)(x+b) count (oracle, lhs) vs the same "
         "as-printed closed form as the general Huff model",
         "odd prime powers; a, b nonzero, a != b",
-        ("a", "b"), _points_ab, c51, counterpart="C1")
+        ("a", "b"), _points_ab, printed_curve(curves.weierstrass_family),
+        counterpart="C1")
 
-    def _transform_tail(ctx, lam, variant, corrected):
-        one = ctx.one
-        oml, opl = ctx.sub(one, lam), ctx.add(one, lam)
+    def transform_tail(ctx, lam, variant, corrected):
+        """q times the transformed series of T5.2 / C4 at lam."""
+        t, series = numpy_tables(ctx), _series_column(ctx)
+        one_minus = t.one_minus[lam]
         if variant == "a":
-            ratio = _ratio(ctx, oml, opl)
-            return phi_at_minus_one(ctx) * two_f_one(ctx, ctx.mul(ratio, ratio))
+            ratio = t.vmul(one_minus, t.vinv(t.vadd(ctx.one, lam)))
+            return phi_at_minus_one(ctx) * series[t.sq[ratio]]
         if variant == "b":
-            return two_f_one(ctx, _transform_arg(ctx, lam))
-        arg = ctx.mul(ctx.mul(oml, oml), ctx.inv(ctx.neg(ctx.mul(ctx.element(4), lam))))
+            return series[_transform_arg(ctx, lam)]
+        arg = t.vmul(t.sq[one_minus], t.vinv(t.neg_[t.vmul(ctx.element(4), lam)]))
         # the as-printed display carries phi(lam) here; the oracle-derived
         # form needs phi(-lam)
-        sign_arg = ctx.neg(lam) if corrected else lam
-        return _phi_sign(ctx, sign_arg) * two_f_one(ctx, arg)
+        sign_arg = t.neg_[lam] if corrected else lam
+        return t.phi[sign_arg] * series[arg]
 
-    def _t52(variant):
-        def ev(ctx, pt):
-            (lam,) = pt
+    def t52(variant):
+        def ev(ctx, params):
+            (lam,) = _rows(params)
             q = ctx.q
-            lhs = two_f_one(ctx, ctx.mul(lam, lam))
-            tail = _transform_tail(ctx, lam, variant, corrected=False)
-            rhs = Fraction(q + 1, q * q) + Fraction(q - 1, q) * tail
-            return lhs, rhs
+            lhs = _series_column(ctx)[numpy_tables(ctx).sq[lam]]
+            tail = transform_tail(ctx, lam, variant, corrected=False)
+            return Column(lhs, q), Column(q + 1 + (q - 1) * tail, q * q)
         return ev
 
     for variant, target in (("a", "phi(-1) F(((1-x)/(1+x))^2)"),
@@ -264,33 +377,31 @@ def _build_registry() -> list[Identity]:
             f"series transform as printed: F(x^2) (lhs) vs "
             f"(q+1)/q^2+(q-1)/q * {target}",
             "odd prime powers; x not in {0, 1, -1}",
-            ("lambda",), _points_lambda(exclude_minus_one=True), _t52(variant),
+            ("lambda",), _points_lambda_not_0_pm1, t52(variant),
             counterpart=f"C4{variant}")
 
-    def t53_printed(ctx, pt):
-        (a,) = pt
-        lhs = two_f_one(ctx, _transform_arg(ctx, a))
-        return lhs, _cornacchia_term(ctx.p)
+    def t53(rhs_num):
+        """F(4a/(1+a)^2) against the constant rhs_num(p) / (p(p-1))."""
+        def ev(ctx, params):
+            (a,) = _rows(params)
+            p = ctx.p
+            lhs = _series_column(ctx)[_transform_arg(ctx, a)]
+            return Column(lhs, p), Column(np.full(len(a), rhs_num(p)), p * (p - 1))
+        return ev
 
     add("T5.3a", "printed",
         "F(4a/(1+a)^2) for a^2 = -1 (lhs, series) vs the as-printed "
         "2x(-1)^((x+y+1)/2)/(p-1) - (p+1)/(p(p-1)) with x^2+y^2=p, x odd",
         "primes p = 1 mod 4; a^2 = -1",
-        ("a",), _points_sqrt_minus_one, t53_printed,
+        ("a",), _points_sqrt_minus_one, t53(_cornacchia_num),
         prime_only=True, field_admissible=lambda ctx: ctx.p % 4 == 1,
         counterpart="C5.3")
-
-    def t53b(ctx, pt):
-        (a,) = pt
-        p = ctx.p
-        lhs = two_f_one(ctx, _transform_arg(ctx, a))
-        return lhs, Fraction(-(p + 1), p * (p - 1))
 
     add("T5.3b", "printed",
         "F(4a/(1+a)^2) for a^2 in {2, 1/2} (lhs, series) vs the as-printed "
         "-(p+1)/(p(p-1)); the lhs column records the empirical values",
         "primes p = -1 mod 8; a^2 in {2, 1/2}",
-        ("a",), _points_sqrt_two_or_half, t53b,
+        ("a",), _points_sqrt_two_or_half, t53(lambda p: -(p + 1)),
         prime_only=True, field_admissible=lambda ctx: ctx.p % 8 == 7)
 
     add("T5.3c", "printed",
@@ -298,17 +409,16 @@ def _build_registry() -> list[Identity]:
         "cornacchia form (which repeats the a^2=-1 display); the lhs column "
         "records the empirical values",
         "primes p = 1 mod 8; a^2 in {2, 1/2}",
-        ("a",), _points_sqrt_two_or_half, t53_printed,
+        ("a",), _points_sqrt_two_or_half, t53(_cornacchia_num),
         prime_only=True, field_admissible=lambda ctx: ctx.p % 8 == 1)
 
     # ---- corrected forms (oracle-derived; PASS expected) ------------------
 
-    def c1(ctx, pt):
-        a, b = pt
-        lhs = int(curves.weierstrass_family(ctx)[a, b])
-        q = ctx.q
-        rhs = q + 1 + q * _phi_sign(ctx, a) * two_f_one(ctx, _ratio(ctx, b, a))
-        return Fraction(lhs), Fraction(rhs)
+    def c1(ctx, params):
+        a, b = _rows(params)
+        t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
+        rhs = q + 1 + t.phi[a] * series[t.vmul(b, t.vinv(a))]
+        return Column(curves.weierstrass_family(ctx)[a, b], 1), Column(rhs, 1)
 
     add("C1", "corrected",
         "Weierstrass count (oracle, lhs) = q+1+q phi(a) F(b/a) "
@@ -316,35 +426,33 @@ def _build_registry() -> list[Identity]:
         "odd prime powers; a, b nonzero, a != b",
         ("a", "b"), _points_ab, c1)
 
-    def c2(ctx, pt):
-        a, b = pt
-        lhs = int(curves.general_huff_family(ctx)[a, b])
-        rhs = int(curves.weierstrass_family(ctx)[a, b])
-        return Fraction(lhs), Fraction(rhs)
+    def c2(ctx, params):
+        a, b = _rows(params)
+        return (Column(curves.general_huff_family(ctx)[a, b], 1),
+                Column(curves.weierstrass_family(ctx)[a, b], 1))
 
     add("C2", "corrected",
         "general Huff count (oracle, lhs) = Weierstrass count (isomorphic models)",
         "odd prime powers; a, b nonzero, a != b",
         ("a", "b"), _points_ab, c2)
 
-    def c3(ctx, pt):
-        a, b = pt
-        lhs = int(curves.huff_family(ctx)[a, b])
-        t = _ratio(ctx, ctx.mul(b, b), ctx.mul(a, a))
-        rhs = ctx.q + 1 + ctx.q * two_f_one(ctx, t)
-        return Fraction(lhs), Fraction(rhs)
+    def c3(ctx, params):
+        a, b = _rows(params)
+        t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
+        rhs = q + 1 + series[t.vmul(t.sq[b], t.vinv(t.sq[a]))]
+        return Column(curves.huff_family(ctx)[a, b], 1), Column(rhs, 1)
 
     add("C3", "corrected",
         "Huff count (oracle, lhs) = q+1+q F(b^2/a^2)",
         "odd prime powers; a, b nonzero, a^2 != b^2",
         ("a", "b"), _points_huff_ab, c3)
 
-    def _c4(variant):
-        def ev(ctx, pt):
-            (lam,) = pt
-            lhs = two_f_one(ctx, ctx.mul(lam, lam))
-            rhs = _transform_tail(ctx, lam, variant, corrected=True)
-            return lhs, Fraction(rhs)
+    def c4(variant):
+        def ev(ctx, params):
+            (lam,) = _rows(params)
+            lhs = _series_column(ctx)[numpy_tables(ctx).sq[lam]]
+            rhs = transform_tail(ctx, lam, variant, corrected=True)
+            return Column(lhs, ctx.q), Column(rhs, ctx.q)
         return ev
 
     for variant, target in (("a", "phi(-1) F(((1-x)/(1+x))^2)"),
@@ -353,12 +461,14 @@ def _build_registry() -> list[Identity]:
         add(f"C4{variant}", "corrected",
             f"series transform, corrected scaling: F(x^2) (lhs) = {target}",
             "odd prime powers; x not in {0, 1, -1}",
-            ("lambda",), _points_lambda(exclude_minus_one=True), _c4(variant))
+            ("lambda",), _points_lambda_not_0_pm1, c4(variant))
 
-    def c53(ctx, pt):
-        (a,) = pt
-        lhs = two_f_one(ctx, _transform_arg(ctx, a))
-        return lhs, hyp.ono_value_minus1(ctx.p)
+    def c53(ctx, params):
+        (a,) = _rows(params)
+        p = ctx.p
+        lhs = _series_column(ctx)[_transform_arg(ctx, a)]
+        rhs = np.full(len(a), _times(hyp.ono_value_minus1(p), p))
+        return Column(lhs, p), Column(rhs, p)
 
     add("C5.3", "corrected",
         "F(4a/(1+a)^2) for a^2 = -1 (lhs, series) = the closed-form value "
@@ -367,12 +477,12 @@ def _build_registry() -> list[Identity]:
         ("a",), _points_sqrt_minus_one, c53,
         prime_only=True, field_admissible=lambda ctx: ctx.p % 4 == 1)
 
-    def cedw(ctx, pt):
-        a, b = pt
-        lhs = int(curves.huff_family(ctx)[a, b])
-        d = _ratio(ctx, ctx.sub(a, b), ctx.add(a, b))
-        affine = int(curves.edwards_affine_family(ctx)[ctx.mul(d, d)])
-        return Fraction(lhs), Fraction(affine + 4)
+    def cedw(ctx, params):
+        a, b = _rows(params)
+        t = numpy_tables(ctx)
+        d = t.vmul(t.vsub(a, b), t.vinv(t.vadd(a, b)))
+        affine = curves.edwards_affine_family(ctx)[t.sq[d]]
+        return Column(curves.huff_family(ctx)[a, b], 1), Column(affine + 4, 1)
 
     add("C-edw", "corrected",
         "Huff count (oracle, lhs) = Edwards affine count at d=(a-b)/(a+b) "
@@ -384,64 +494,68 @@ def _build_registry() -> list[Identity]:
 
     # ---- quoted classical results (PASS expected) --------------------------
 
-    def greflect(ctx, pt):
-        (lam,) = pt
-        lhs = two_f_one(ctx, lam)
-        rhs = phi_at_minus_one(ctx) * two_f_one(ctx, ctx.sub(ctx.one, lam))
-        return lhs, Fraction(rhs)
+    def greflect(ctx, params):
+        (lam,) = _rows(params)
+        t, series = numpy_tables(ctx), _series_column(ctx)
+        rhs = phi_at_minus_one(ctx) * series[t.one_minus[lam]]
+        return Column(series[lam], ctx.q), Column(rhs, ctx.q)
 
     add("G-reflect", "greene",
         "reflection transform: F(x) (lhs) = phi(-1) F(1-x)",
         "odd prime powers; x not in {0, 1}",
-        ("lambda",), _points_lambda(exclude_minus_one=False), greflect)
+        ("lambda",), _points_lambda_not_0_1, greflect)
 
-    def gratio(ctx, pt):
-        (lam,) = pt
-        lhs = two_f_one(ctx, lam)
-        arg = ctx.mul(lam, ctx.inv(ctx.sub(lam, ctx.one))) if lam != ctx.zero else ctx.zero
-        rhs = _phi_sign(ctx, ctx.sub(ctx.one, lam)) * two_f_one(ctx, arg)
-        return lhs, Fraction(rhs)
+    def gratio(ctx, params):
+        (lam,) = _rows(params)
+        t, series = numpy_tables(ctx), _series_column(ctx)
+        arg = t.vmul(lam, t.vinv(t.vsub(lam, ctx.one)))       # 0 at lam = 0
+        rhs = t.phi[t.one_minus[lam]] * series[arg]
+        return Column(series[lam], ctx.q), Column(rhs, ctx.q)
 
     add("G-ratio", "greene",
         "ratio transform: F(x) (lhs) = phi(1-x) F(x/(x-1))",
         "odd prime powers; x != 1",
         ("lambda",), _points_lambda_not_one, gratio)
 
-    def g316(ctx, pt):
-        (lam,) = pt
-        lhs = _series_phi_eps_phi(ctx, lam)
-        rhs = Fraction(-phi_at_minus_one(ctx) * (1 + _phi_sign(ctx, lam)), ctx.q)
-        return lhs, rhs
+    def g316(ctx, params):
+        (lam,) = _rows(params)
+        phi, eps = quadratic_character(ctx), trivial_character(ctx)
+        values = [hyp.hyp_eval(HypSpec(top=(phi, eps), bottom=(phi,), x=x))
+                  for x in lam.tolist()]
+        den = lcm(*(v.denominator for v in values))
+        lhs = np.array([_times(v, den) for v in values], dtype=np.int64)
+        rhs = -phi_at_minus_one(ctx) * (1 + numpy_tables(ctx).phi[lam])
+        return Column(lhs, den), Column(rhs, ctx.q)
 
     add("G-316", "greene",
         "the (phi, eps; phi) series via the generic evaluator (lhs) = "
         "-phi(-1)(1+phi(x))/q",
         "odd prime powers; x not in {0, 1}",
-        ("lambda",), _points_lambda(exclude_minus_one=False), g316)
+        ("lambda",), _points_lambda_not_0_1, g316)
 
-    def sedw(ctx, pt):
-        (d,) = pt
-        d2 = ctx.mul(d, d)
-        affine = int(curves.edwards_affine_family(ctx)[d2])
-        q = ctx.q
-        rhs = 1 + q + q * phi_at_minus_one(ctx) * two_f_one(ctx, d2)
-        return Fraction(affine + 4), Fraction(rhs)
+    def sedw(ctx, params):
+        (d,) = _rows(params)
+        d2 = numpy_tables(ctx).sq[d]
+        affine = curves.edwards_affine_family(ctx)[d2]
+        rhs = 1 + ctx.q + phi_at_minus_one(ctx) * _series_column(ctx)[d2]
+        return Column(affine + 4, 1), Column(rhs, 1)
 
     add("S-edw", "greene",
         "Edwards affine count plus the empirical 4-point completion (lhs, "
         "oracle) = 1+q+q phi(-1) F(d^2), the quoted Edwards count formula",
         "odd prime powers; d not in {0, 1, -1}",
-        ("lambda",), _points_lambda(exclude_minus_one=True), sedw)
+        ("lambda",), _points_lambda_not_0_pm1, sedw)
 
-    def ominus1(ctx, pt):
-        lhs = two_f_one(ctx, ctx.neg(ctx.one))
-        return lhs, hyp.ono_value_minus1(ctx.p)
+    def ominus1(ctx, params):
+        n, p = _rows(params).shape[1], ctx.p
+        lhs = np.full(n, _series_column(ctx)[numpy_tables(ctx).neg_[ctx.one]])
+        return Column(lhs, p), Column(np.full(n, _times(hyp.ono_value_minus1(p), p)), p)
 
     add("O-minus1", "ono",
         "F(-1) over a prime field (lhs, series) = the two-squares closed "
         "form (0 when p = 3 mod 4)",
         "odd primes",
-        (), lambda ctx: [()], ominus1, prime_only=True)
+        (), lambda ctx: np.zeros((1, 0), dtype=np.int64), ominus1, prime_only=True)
 
     return ids
 
@@ -476,43 +590,62 @@ def capped_prime_powers(q_max: int) -> list[tuple[int, int]]:
     limit = q_cap()
     if q_max > limit:
         raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
+    _check_headroom(q_max)
     return odd_prime_powers(q_max)
 
 
-def _records_for(ident: Identity, p: int, r: int) -> list[PointRecord]:
+def _check_headroom(q_max: int) -> None:
+    """Raise :class:`FieldError` unless int64 columns hold an audit over
+    every F_q with q <= q_max.
+
+    Counts are at most q^2 + 4, |q F(lambda)| <= q and phi is +-1, so
+    every lhs and rhs numerator over its denominator (1, q, q-1, q^2 or
+    p(p-1)) is below 3 q^2, and every residual numerator over the lcm of
+    the two is below 4 q^3.  G-316's values come from the generic
+    evaluator; their conversion and the residual rescaling check
+    themselves (:func:`_scaled`).
+    """
+    if 4 * q_max ** 3 >= _SAFE_INT64:
+        raise FieldError(f"q={q_max} is too large for exact int64 audit columns: "
+                         f"numerators reach 4q^3 = {4 * q_max ** 3} >= 2^62")
+
+
+def _columns_for(ident: Identity, p: int, r: int) -> FieldColumns | None:
+    """The identity over its whole domain in F_{p^r}, or None where the
+    field is not admissible."""
     if ident.prime_only and r != 1:
-        return []
+        return None
     ctx = cached_field(p, r)
     if not ident.field_admissible(ctx):
-        return []
-    out = []
-    for pt in sorted(ident.points(ctx)):
-        lhs, rhs = ident.evaluate(ctx, pt)
-        residual = lhs - rhs
-        out.append(PointRecord(
-            identity=ident.key, q=ctx.q,
-            params=tuple(zip(ident.param_names, pt)),
-            lhs=lhs, rhs=rhs, residual=residual, passed=residual == 0))
-    return out
+        return None
+    params = ident.points(ctx)
+    lhs, rhs = ident.evaluate(ctx, params)
+    return FieldColumns(ident.key, ctx.q, ident.param_names, params, lhs, rhs,
+                        _residual(lhs, rhs))
 
 
-def _sweep_task(args: tuple[str, int, int]) -> tuple[str, int, list[PointRecord]]:
+def _sweep_task(args: tuple[str, int, int]) -> tuple[str, int, FieldColumns | None]:
     key, p, r = args
-    return key, p ** r, _records_for(identity_by_key(key), p, r)
+    return key, p ** r, _columns_for(identity_by_key(key), p, r)
 
 
-def _assemble(ident: Identity, per_q: dict[int, list[PointRecord]],
+def _assemble(ident: Identity, per_q: dict[int, FieldColumns | None],
               q_order: list[int], cap: int) -> IdentityReport:
-    records: list[PointRecord] = []
-    for q in q_order:
-        records.extend(per_q.get(q, []))
-    failures = [rec for rec in records if not rec.passed]
+    columns = tuple(per_q[q] for q in q_order if per_q.get(q) is not None)
+    counterexamples: list[PointRecord] = []
+    failures = 0
+    for block in columns:
+        failing = np.flatnonzero(~block.passed)
+        failures += len(failing)
+        if len(failing) and len(counterexamples) < cap:
+            counterexamples += block.records(failing[:cap - len(counterexamples)])
     return IdentityReport(
         identity=ident.key, provenance=ident.provenance,
         domain=f"{ident.domain_description}; q in {q_order}",
-        records=records,
-        counterexamples=failures[:cap],
-        truncated=len(failures) > cap,
+        records=None,
+        counterexamples=counterexamples,
+        truncated=failures > cap,
+        columns=columns,
     )
 
 
@@ -526,7 +659,7 @@ def audit_identity(key: str, q_values: Iterable[int], *,
     for q in q_order:
         if q not in by_q:
             raise ValueError(f"{q} is not an odd prime power")
-    per_q = {q: _records_for(ident, *by_q[q]) for q in q_order}
+    per_q = {q: _columns_for(ident, *by_q[q]) for q in q_order}
     return _assemble(ident, per_q, q_order, cap)
 
 
@@ -543,16 +676,16 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
     pairs = capped_prime_powers(q_max)
     qs = [p ** r for p, r in pairs]
     tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
-    results: dict[tuple[str, int], list[PointRecord]] = {}
+    results: dict[tuple[str, int], FieldColumns | None] = {}
     # the executor forks every worker at once: no more than cores or tasks
     jobs = min(jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, q, recs in pool.map(_sweep_task, tasks, chunksize=4):
-                results[(key, q)] = recs
+            for key, q, block in pool.map(_sweep_task, tasks, chunksize=4):
+                results[(key, q)] = block
     else:
-        for key, q, recs in map(_sweep_task, tasks):
-            results[(key, q)] = recs
+        for key, q, block in map(_sweep_task, tasks):
+            results[(key, q)] = block
     return [
         _assemble(ident, {q: results[(ident.key, q)] for q in qs}, qs, cap)
         for ident in idents
@@ -564,21 +697,24 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = ("identity", "q", "a", "b", "lambda", "lhs", "rhs", "residual", "pass")
+_PARAM_COLUMNS = _CSV_COLUMNS[2:5]     # every identity's param_names keep this order
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+def _point_lines(block: FieldColumns, template: str, identity: str) -> Iterable[str]:
+    """``template`` filled with the identity, q, the parameters, the
+    numerator and denominator of each reduced side and the pass flag, row
+    by row."""
+    n = len(block.params)
+    sides = [part for c in (block.lhs, block.rhs, block.residual) for part in c.reduced()]
+    passed = np.where(block.passed, "true", "false").tolist()
+    return map(template.format, repeat(identity, n), repeat(block.q, n),
+               *block.params.T.tolist(), *sides, passed)
 
 
-def _point_row(rec: PointRecord) -> dict:
-    row: dict = {"identity": rec.identity, "q": rec.q}
-    for name, value in rec.params:
-        row[name] = value
-    row["lhs"] = _frac_str(rec.lhs)
-    row["rhs"] = _frac_str(rec.rhs)
-    row["residual"] = _frac_str(rec.residual)
-    row["pass"] = rec.passed
-    return row
+def _csv_line(cells) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()
 
 
 def _summary_row(report: IdentityReport) -> dict:
@@ -587,38 +723,37 @@ def _summary_row(report: IdentityReport) -> dict:
         "summary": True,
         "provenance": report.provenance,
         "status": report.status,
-        "points": len(report.records),
-        "failures": sum(1 for r in report.records if not r.passed),
+        "points": sum(len(block.params) for block in report.columns),
+        "failures": sum(int((~block.passed).sum()) for block in report.columns),
         "truncated": report.truncated,
     }
 
 
 def emit(reports: list[IdentityReport], format: str = "json") -> bytes:
-    """Serialize reports: one record per (identity, parameter point) plus
-    one summary record per identity.  Rationals render as "num/den"."""
+    """Serialize reports: one record per (identity, parameter point),
+    rendered from the report's columns, plus one summary record per
+    identity.  Rationals render in lowest terms as "num/den"."""
     if format == "json":
         rows = []
         for rep in reports:
-            rows.extend(_point_row(rec) for rec in rep.records)
-            rows.append(_summary_row(rep))
-        return (json.dumps(rows, separators=(",", ":")) + "\n").encode()
+            for block in rep.columns:
+                template = ('{{"identity":{},"q":{}'
+                            + "".join(f",{json.dumps(name)}:{{}}" for name in block.param_names)
+                            + ',"lhs":"{}/{}","rhs":"{}/{}","residual":"{}/{}","pass":{}}}')
+                rows.extend(_point_lines(block, template, json.dumps(rep.identity)))
+            rows.append(json.dumps(_summary_row(rep), separators=(",", ":")))
+        return ("[" + ",".join(rows) + "]\n").encode()
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(_CSV_COLUMNS)
+        lines = [_csv_line(_CSV_COLUMNS)]
         for rep in reports:
-            for rec in rep.records:
-                row = _point_row(rec)
-                writer.writerow([_csv_cell(row.get(col)) for col in _CSV_COLUMNS])
-            writer.writerow([rep.identity, "", "", "", "", "", "", "",
-                             "true" if rep.passed else "false"])
-        return buf.getvalue().encode()
+            key_cell = _csv_line([rep.identity]).removesuffix("\r\n")
+            for block in rep.columns:
+                template = ("{},{}"
+                            + "".join(",{}" if name in block.param_names else ","
+                                      for name in _PARAM_COLUMNS)
+                            + ",{}/{},{}/{},{}/{},{}\r\n")
+                lines.extend(_point_lines(block, template, key_cell))
+            lines.append(_csv_line([rep.identity, "", "", "", "", "", "", "",
+                                    "true" if rep.passed else "false"]))
+        return "".join(lines).encode()
     raise ValueError(f"unknown format {format!r}")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)

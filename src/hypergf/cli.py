@@ -21,11 +21,12 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import audit as audit_mod
 from . import curves
-from .audit import _frac_str
 from .chars import Character, binomial_symbol, jacobi_sum
+from .cyclo import NonRationalValueError
 from .ff import FieldError, make_field
 from .hyp import HypSpec, cornacchia, hyp_eval, ono_value_minus1, two_f_one
 
@@ -47,6 +48,10 @@ def _element_arg(text: str):
 
 def _index_list(text: str) -> list[int]:
     return [int(c) for c in text.split(",")]
+
+
+def _frac_str(f: Fraction) -> str:
+    return f"{f.numerator}/{f.denominator}"
 
 
 def _echo_element(ctx, code: int):
@@ -140,7 +145,11 @@ def _cmd_evalnfn(args) -> int:
         bottom=tuple(Character(ctx, j) for j in args.bottom),
         x=x,
     )
-    value = hyp_eval(spec)
+    try:
+        value = hyp_eval(spec)
+    except NonRationalValueError:
+        raise UsageError(f"the value at x={args.x} is not rational; "
+                         "evalnfn prints rational values only") from None
     out = {
         "q": ctx.q,
         "top": [c.j for c in spec.top],
@@ -243,10 +252,11 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, FieldError, curves.ParameterError) as exc:
-        # precondition violations never start a computation
+        # precondition violations, refused before any computation, and
+        # values evalnfn cannot print
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (ValueError, ArithmeticError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -210,11 +210,6 @@ def _per_field(build):
     return family
 
 
-def _vinv(t: NumpyTables, a) -> np.ndarray:
-    """1/a for nonzero codes a."""
-    return t.exp_[(-t.log_[a]) % t.n]
-
-
 def _excluded_ab(table: np.ndarray, bad_pair: np.ndarray) -> np.ndarray:
     """-1 where a = 0, b = 0 or ``bad_pair[a, b]``."""
     table[bad_pair] = -1
@@ -232,7 +227,7 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
     q = ctx.q
     nz = np.arange(1, q)
     x, y = nz[:, None], nz[None, :]
-    inv_x2y = _vinv(t, t.vmul(t.sq[x], y))
+    inv_x2y = t.vinv(t.vmul(t.sq[x], y))
     slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y)           # y/x
     offset = t.vmul(t.vsub(x, y), inv_x2y)                # (x-y)/(x^2 y)
     table = np.empty((q, q), dtype=np.int64)
@@ -256,8 +251,8 @@ def huff_family(ctx: FieldContext) -> np.ndarray:
     big_b = t.vmul(sq_m1[:, None], codes[None, :])
     every = int(((big_a == 0) & (big_b == 0)).sum())
     solved = (big_a != 0) & (big_b != 0)
-    hist = np.bincount(t.vmul(big_a[solved], _vinv(t, big_b[solved])), minlength=q)
-    table = 3 + every + hist[t.vmul(codes[None, :], _vinv(t, codes)[:, None])]
+    hist = np.bincount(t.vmul(big_a[solved], t.vinv(big_b[solved])), minlength=q)
+    table = 3 + every + hist[t.vmul(codes[None, :], t.vinv(codes)[:, None])]
     return _excluded_ab(table, t.sq[:, None] == t.sq[None, :])
 
 
@@ -272,7 +267,7 @@ def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
     prod = t.vmul(t.sq[:, None], t.sq[None, :])
     axis = prod == 0
     every = int((axis & (lhs == 0)).sum())
-    d2 = t.vmul(lhs[~axis], _vinv(t, prod[~axis]))
+    d2 = t.vmul(lhs[~axis], t.vinv(prod[~axis]))
     table = every + np.bincount(d2, minlength=ctx.q)
     table[[ctx.zero, ctx.one]] = -1
     return table

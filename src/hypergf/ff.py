@@ -384,6 +384,10 @@ class NumpyTables:
         res = self.exp_[(self.log_[a] + self.log_[b]) % self.n]
         return np.where((a == 0) | (b == 0), 0, res)
 
+    def vinv(self, a):
+        """1/a for nonzero codes a."""
+        return self.exp_[(-self.log_[a]) % self.n]
+
 
 def numpy_tables(ctx: FieldContext) -> NumpyTables:
     tables = ctx._cache.get("numpy_tables")

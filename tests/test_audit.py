@@ -1,12 +1,19 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypergf import audit_identity, emit, identity_by_key, registry, sweep
-from hypergf.audit import PROVENANCES
+from _audit_referee import REFEREE
+from hypergf import FieldError, audit_identity, emit, identity_by_key, registry, sweep
+from hypergf.audit import (PROVENANCES, Column, _columns_for, _residual, _scaled,
+                           cached_field, capped_prime_powers)
+from hypergf.ff import odd_prime_powers
 
 
 def _record(report, **params):
@@ -231,3 +238,74 @@ def test_quoted_suites_pass_in_full_ranges():
     report = audit_identity("O-minus1", primes)
     assert report.status == "PASS"
     assert len(report.records) == len(primes)
+
+
+def test_sweep49_emit_is_pinned():
+    # SHA-256 and size of both formats, taken from the per-point Fraction
+    # evaluators that the columnar audit replaced
+    reports = sweep(49)
+    for fmt, size, digest in (
+            ("json", 10_429_139,
+             "ce1dd4401091439ab5105e24e319ada584caf2ffa9e430407c5c10dcc7c46edb"),
+            ("csv", 3_905_849,
+             "9e1f20a7ac32f098e846f3271c8231cd9158bf5795e701da8f44fd6eaa471575")):
+        payload = emit(reports, fmt)
+        assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, digest), fmt
+
+
+def test_records_are_built_on_first_read():
+    report = audit_identity("C4.2", [5, 7, 9, 11, 13])
+    assert report._records is None                 # nothing built by the audit
+    assert len(report.counterexamples) == 100 and report.truncated
+    records = report.records
+    assert report.records is records               # built once
+    assert [rec for rec in records if not rec.passed][:100] == report.counterexamples
+    assert len(records) == sum(len(block.params) for block in report.columns)
+
+
+@st.composite
+def _identity_field_rows(draw):
+    ident = draw(st.sampled_from(registry()))
+    fields = [(p, r) for p, r in odd_prime_powers(49)
+              if not (ident.prime_only and r != 1)
+              and ident.field_admissible(cached_field(p, r))]
+    p, r = draw(st.sampled_from(fields))
+    size = len(REFEREE[ident.key][0](cached_field(p, r)))     # 0 for T5.2a at q = 3
+    rows = draw(st.lists(st.integers(0, size - 1), max_size=6)) if size else []
+    return ident, p, r, rows
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(_identity_field_rows())
+def test_columns_match_the_referee(drawn):
+    ident, p, r, rows = drawn
+    ctx = cached_field(p, r)
+    points, evaluate = REFEREE[ident.key]
+    want = points(ctx)
+    block = _columns_for(ident, p, r)
+    assert [tuple(pt) for pt in block.params.tolist()] == want
+    lhs, rhs = ident.evaluate(ctx, block.params[rows])
+    residual = _residual(lhs, rhs)
+    for i, row in enumerate(rows):
+        ref_lhs, ref_rhs = evaluate(ctx, want[row])
+        got = [Fraction(int(c.num[i]), c.den) for c in (lhs, rhs, residual)]
+        assert got == [ref_lhs, ref_rhs, ref_lhs - ref_rhs], (ident.key, ctx.q, want[row])
+        assert (residual.num[i] == 0) == (ref_lhs == ref_rhs)
+        (rec,) = block.records([row])
+        assert (rec.params, rec.lhs, rec.rhs, rec.residual, rec.passed) == (
+            tuple(zip(ident.param_names, want[row])), ref_lhs, ref_rhs,
+            ref_lhs - ref_rhs, ref_lhs == ref_rhs)
+
+
+def test_int64_headroom_is_checked(monkeypatch):
+    column = np.array([2 ** 40, -3], dtype=np.int64)
+    assert _scaled(column, 2 ** 21).tolist() == [2 ** 61, -3 * 2 ** 21]
+    with pytest.raises(OverflowError, match="int64"):
+        _scaled(column, 2 ** 22)                   # 2^62 leaves no room for a sum
+    with pytest.raises(OverflowError, match="int64"):
+        _residual(Column(np.array([2 ** 61]), 1), Column(np.array([1]), 2))
+    # every numerator is below 4q^3: F_{2^20+7} is refused before any field
+    monkeypatch.setenv("HYPERGF_Q_CAP", str(2 ** 21))
+    assert capped_prime_powers(3) == [(3, 1)]
+    with pytest.raises(FieldError, match="int64"):
+        capped_prime_powers(2 ** 20 + 7)

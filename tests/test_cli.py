@@ -119,8 +119,11 @@ def test_usage_errors(capsys):
     (None, ["audit", "--identity", "C1", "--qmax", "1000000000"]),
     ("20", ["audit", "--identity", "C2", "--qmax", "30"]),
     ("20", ["audit", "--all", "--qmax", "30"]),
+    (str(2 ** 21), ["audit", "--all", "--qmax", str(2 ** 20 + 7)]),
+    (None, ["evalnfn", "--p", "13", "--top", "2,2", "--bottom", "0", "--x", "-1"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
-        "identity-over-cap", "all-over-cap"])
+        "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
+        "evalnfn-not-rational"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []
     monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
@@ -130,6 +133,7 @@ def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == "" and "usage error" in err
     assert built == []                  # refused before any field is built
+    assert err.count("\n") == 1 and len(err) < 200     # one short line
 
 
 def test_audit_exit_codes(capsys):

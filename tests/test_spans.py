@@ -33,3 +33,24 @@ def test_install_traces_one_cold_call_and_detach_restores(spans):
     assert metrics["ff.make_field.calls"] == 1
     for module, attr, original, _ in tracer.patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_install_traces_the_audit_and_detach_restores(spans):
+    # the tracer replaces Identity.points and Identity.evaluate (ctx first)
+    # and wraps audit's make_field and two_f_one bindings
+    from hypergf import audit
+
+    plain = audit.emit(audit.sweep(5), "json")
+    tasks = 2 + sum(len(rep.columns) for rep in audit.sweep(5))
+    tracer = spans.install()
+    try:
+        report = audit.audit_identity("C1", [5, 7])
+        traced = audit.emit(audit.sweep(5), "json")
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.detach()
+    assert report.status == "PASS" and traced == plain
+    assert metrics["audit.points"] == tasks      # one evaluate call per task
+    assert metrics["audit.emit.bytes"] == len(plain)
+    for module, attr, original, _ in tracer.patched:
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
