@@ -52,7 +52,7 @@ from . import curves, hyp
 from .chars import phi_at_minus_one, quadratic_character, trivial_character
 from .ff import (FieldContext, FieldError, make_field, numpy_tables, odd_prime_powers,
                  q_cap)
-from .hyp import HypSpec, two_f_one
+from .hyp import two_f_one
 
 PROVENANCES = ("printed", "corrected", "greene", "ono")
 COUNTEREXAMPLE_CAP = 100
@@ -520,8 +520,7 @@ def _build_registry() -> list[Identity]:
     def g316(ctx, params):
         (lam,) = _rows(params)
         phi, eps = quadratic_character(ctx), trivial_character(ctx)
-        values = [hyp.hyp_eval(HypSpec(top=(phi, eps), bottom=(phi,), x=x))
-                  for x in lam.tolist()]
+        values = hyp.hyp_values((phi, eps), (phi,), lam)
         den = lcm(*(v.denominator for v in values))
         lhs = np.array([_times(v, den) for v in values], dtype=np.int64)
         rhs = -phi_at_minus_one(ctx) * (1 + numpy_tables(ctx).phi[lam])

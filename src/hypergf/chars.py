@@ -10,8 +10,8 @@ ranges.
 Two layers live here.  The object layer (:class:`Character`,
 :func:`jacobi_sum`, :func:`binomial_symbol`) returns exact
 :class:`~hypergf.cyclo.GroupRingElement` values.  The integer-vector
-layer (``jacobi_vector``, ``scaled_binomial_vector``) is what the
-sweep kernels use: it accumulates raw counts with no canonicalization
+layer (``jacobi_vector``, ``scaled_binomial_vector``) underlies the
+object layer: it accumulates raw counts with no canonicalization
 inside the loops.
 """
 

@@ -28,7 +28,7 @@ from . import curves
 from .chars import Character, binomial_symbol, jacobi_sum
 from .cyclo import NonRationalValueError
 from .ff import FieldError, make_field
-from .hyp import HypSpec, cornacchia, hyp_eval, ono_value_minus1, two_f_one
+from .hyp import HypSpec, check_order, cornacchia, hyp_eval, ono_value_minus1, two_f_one
 
 
 class UsageError(Exception):
@@ -138,6 +138,7 @@ def _cmd_eval2f1(args) -> int:
 def _cmd_evalnfn(args) -> int:
     if len(args.top) != len(args.bottom) + 1:
         raise UsageError("--top needs exactly one more index than --bottom")
+    check_order(args.p ** args.r, len(args.top))  # refuse before building the field
     ctx = make_field(args.p, args.r)
     x = ctx.element(args.x)
     spec = HypSpec(

@@ -16,8 +16,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import numpy as np
+
+from .ff import prime_factors
 
 
 class NonRationalValueError(ValueError):
@@ -28,26 +31,32 @@ class NonRationalValueError(ValueError):
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low first.
 
-    Computed by exact division: x**n - 1 = prod over d | n of Phi_d.
+    Computed as the product over d | n of (x**d - 1)**mu(n/d): every
+    factor multiplies or exactly divides by a binomial, O(n) each.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial index must be >= 1")
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+    ups, downs = [], []
+    for d in range(1, n + 1):
         if n % d == 0:
-            den = cyclotomic_polynomial(d)
-            quo = [0] * (len(num) - len(den) + 1)
-            for k in range(len(num) - 1, len(den) - 2, -1):
-                c = num[k]
-                if c:
-                    quo[k - len(den) + 1] = c
-                    for j, dj in enumerate(den):
-                        num[k - len(den) + 1 + j] -= c * dj
-            while len(num) > 1 and num[-1] == 0:
-                num.pop()
-            assert all(c == 0 for c in num), f"Phi_{d} does not divide x^{n}-1"
-            num = quo
-    return tuple(num)
+            primes = prime_factors(n // d)
+            if prod(primes) == n // d:          # mu(n/d) = (-1)**len(primes)
+                (downs if len(primes) % 2 else ups).append(d)
+    poly = [1]
+    for d in ups:
+        # times x**d - 1
+        poly = [0] * d + poly
+        for i in range(len(poly) - d):
+            poly[i] -= poly[i + d]
+    for d in downs:
+        # divided by x**d - 1, from the low end: a_i = quo_(i-d) - quo_i
+        quo = []
+        for i in range(len(poly) - d):
+            quo.append((quo[i - d] if i >= d else 0) - poly[i])
+        top = ([0] * d + quo)[-d:]
+        assert top == poly[-d:], f"x^{d}-1 does not divide the product"
+        poly = quo
+    return tuple(poly)
 
 
 def reduce_mod_cyclotomic(vec, n: int) -> tuple:

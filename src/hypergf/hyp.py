@@ -1,14 +1,31 @@
 """Gaussian hypergeometric sums over F_q, exactly.
 
 The generic series with top characters (A_0, ..., A_n) and bottom
-characters (B_1, ..., B_n) at an argument x is
+characters (B_1, ..., B_n) at an argument x is Greene's
 
     q/(q-1) * sum over all chi of
-        (A_0 chi choose chi) (A_1 chi choose B_1 chi) ... chi(x),
+        (A_0 chi choose chi) (A_1 chi choose B_1 chi) ... chi(x).
 
-a rational number for the specs used here.  Evaluation accumulates the
-scaled integer vectors of the symbols and extracts the rational once at
-the end, so the whole computation is exact.
+It is evaluated by Greene's recursion (Trans. AMS 301, 1987, Def. 3.5,
+Thm. 3.6 and Thm. 3.13) instead of the sum over chi.  The base is
+1F0(A | x) = eps(x) conj(A)(1-x); the 2F1 level is the integral form
+
+    2F1(A, B; C | x) = eps(x) BC(-1)/q * sum over y of
+        B(y) conj(B)C(1-y) conj(A)(1-xy),
+
+and each higher level is
+
+    n+1Fn(... A_n; ... B_n | x) = A_nB_n(-1)/q * sum over y of
+        nFn-1(... | xy) A_n(y) conj(A_n)B_n(1-y).
+
+A level is held as integer vectors over the (q-1)-th roots of unity:
+q**(k-1) times the order-k value, one row per argument.  The 2F1 rows
+are one bincount of zeta-exponents over y, O(q) per argument; a higher
+level sums rolled rows of the level below at every xy, so an order k >= 3
+series needs the level below as a (q, q-1) int64 column and costs
+O(k q^2 (q-1)) at worst.  :func:`check_order` refuses a column beyond
+``MAX_COLUMN_CELLS`` cells or entries that could reach 2**62.  The
+rational is extracted once per row, exactly.
 
 The workhorse is the (phi, phi; eps) specialization
 :func:`two_f_one`, evaluated by Greene's sum form
@@ -30,10 +47,29 @@ from math import isqrt
 
 import numpy as np
 
+from .chars import Character, char_sign_at_minus_one, phi_at_minus_one
 # jacobi_vector is unused here; perfbench/spans.py traces it at this binding
-from .chars import Character, jacobi_vector, phi_at_minus_one, scaled_binomial_vector
-from .cyclo import convolve_cyclic, rational_from_vector
-from .ff import FieldContext, FieldError, is_prime, make_field, numpy_tables
+from .chars import jacobi_vector
+# convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
+from .cyclo import convolve_cyclic
+from .cyclo import rational_from_vector
+from .ff import FieldContext, FieldError, NumpyTables, is_prime, numpy_tables
+# make_field is unused here; perfbench/spans.py traces it at this binding
+from .ff import make_field
+
+# an order k >= 3 series holds the level below as a (q, q-1) int64 column
+MAX_COLUMN_CELLS = 2 ** 24
+# rows are gathered in blocks of at most this many int64 cells
+_BLOCK_CELLS = 2 ** 20
+
+
+def _check_characters(top, bottom):
+    if len(top) != len(bottom) + 1:
+        raise ValueError("need exactly one more top character than bottom")
+    ctx = top[0].ctx
+    for chi in (*top, *bottom):
+        if chi.ctx != ctx:
+            raise ValueError("all characters must share one field")
 
 
 @dataclass(frozen=True)
@@ -45,50 +81,111 @@ class HypSpec:
     x: int
 
     def __post_init__(self):
-        if len(self.top) != len(self.bottom) + 1:
-            raise ValueError("need exactly one more top character than bottom")
-        ctx = self.top[0].ctx
-        for chi in (*self.top, *self.bottom):
-            if chi.ctx != ctx:
-                raise ValueError("all characters must share one field")
+        _check_characters(self.top, self.bottom)
 
     @property
     def ctx(self) -> FieldContext:
         return self.top[0].ctx
 
 
+def check_order(q: int, order: int) -> None:
+    """Raise :class:`FieldError` unless a series of ``order`` top
+    characters over F_q fits its int64 rows: for order >= 3 the (q, q-1)
+    column of the level below is at most ``MAX_COLUMN_CELLS`` cells, and
+    every entry, at most (q-2)**(order-1) in absolute value, stays below
+    2**62."""
+    if order >= 3 and q * (q - 1) > MAX_COLUMN_CELLS:
+        raise FieldError(f"an order-{order} series over q={q} needs a {q}x{q - 1} "
+                         f"column, over the {MAX_COLUMN_CELLS}-cell bound")
+    if q ** (order - 1) >= 2 ** 62:
+        raise FieldError(f"an order-{order} series over q={q} has entries up to "
+                         f"q^{order - 1} >= 2^62")
+
+
 def hyp_eval(spec: HypSpec) -> Fraction:
-    """Exact rational value of the generic hypergeometric sum."""
-    ctx = spec.ctx
-    q = ctx.q
-    n = q - 1
-    if spec.x == ctx.zero:
-        return Fraction(0)  # every term carries chi(0) = 0
-    dlx = ctx.log[spec.x]
-    tops = [chi.j for chi in spec.top]
-    bots = [chi.j for chi in spec.bottom]
-    k = len(tops)
-    acc = [0] * n
-    for c in range(n):
-        vec = _scaled_binom(ctx, (tops[0] + c) % n, c)
-        for a_j, b_j in zip(tops[1:], bots):
-            vec = convolve_cyclic(
-                vec, _scaled_binom(ctx, (a_j + c) % n, (b_j + c) % n), n)
-        r = (c * dlx) % n
-        for m, v in enumerate(vec):
-            if v:
-                acc[(m + r) % n] += v
-    # acc carries q**k times the chi-sum; fold in the q/(q-1) prefactor
-    return rational_from_vector(acc, n) * q / (Fraction(q - 1) * q ** k)
+    """Exact rational value of the generic hypergeometric sum.
+
+    Greene's recursion from 1F0; O(q) for a 2F1 and O(k q^2 (q-1)) at
+    worst for order k >= 3, which :func:`check_order` bounds.  Raises
+    :class:`~hypergf.cyclo.NonRationalValueError` if the value is not
+    rational.
+    """
+    return hyp_values(spec.top, spec.bottom, [spec.x])[0]
 
 
-def _scaled_binom(ctx: FieldContext, ja: int, jb: int) -> list[int]:
-    cache = ctx._cache.setdefault("scaled_binom_vecs", {})
-    key = (ja, jb)
-    vec = cache.get(key)
-    if vec is None:
-        vec = cache[key] = scaled_binomial_vector(ctx, ja, jb)
-    return vec
+def hyp_values(top: tuple[Character, ...], bottom: tuple[Character, ...],
+               xs) -> list[Fraction]:
+    """:func:`hyp_eval` at every argument code of ``xs``, from one pass of
+    the recursion."""
+    _check_characters(top, bottom)
+    ctx = top[0].ctx
+    n, scale = ctx.q - 1, ctx.q ** (len(top) - 1)
+    rows = _series_rows(ctx, [chi.j for chi in top], [chi.j for chi in bottom],
+                        np.asarray(xs, dtype=np.int64))
+    return [rational_from_vector(row, n) / scale for row in rows.tolist()]
+
+
+def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],
+                 xs: np.ndarray) -> np.ndarray:
+    """q**(k-1) times the order-k series at each code of ``xs``, as an
+    int64 row of zeta-coefficients per argument."""
+    check_order(ctx.q, len(tops))
+    t = numpy_tables(ctx)
+    if len(tops) == 1:
+        # 1F0(A | x) = eps(x) conj(A)(1-x): one root of unity, or 0
+        rows = np.zeros((len(xs), t.n), dtype=np.int64)
+        omx = t.one_minus[xs]
+        live = np.flatnonzero((xs != 0) & (omx != 0))
+        rows[live, (-tops[0] * t.log_[omx[live]]) % t.n] = 1
+        return rows
+    # every level but the top one is needed at every xy, so at all codes
+    every = np.arange(ctx.q)
+    rows = _integral_rows(t, tops[0], tops[1], bots[0], xs if len(tops) == 2 else every)
+    rows *= char_sign_at_minus_one(ctx, tops[1] + bots[0])
+    for j in range(2, len(tops)):
+        rows = _recursion_rows(t, rows, tops[j], bots[j - 1],
+                               xs if j == len(tops) - 1 else every)
+        rows *= char_sign_at_minus_one(ctx, tops[j] + bots[j - 1])
+    return rows
+
+
+def _y_terms(t: NumpyTables, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The y off {0, 1} and the exponent of A(y) conj(A)B(1-y) at each."""
+    codes = np.arange(t.q)
+    y = codes[(codes != 0) & (t.one_minus != 0)]
+    return y, (ja * t.log_[y] + (jb - ja) * t.log_[t.one_minus[y]]) % t.n
+
+
+def _integral_rows(t: NumpyTables, ja: int, jb: int, jc: int,
+                   xs: np.ndarray) -> np.ndarray:
+    """q 2F1(A, B; C | x) for each x of ``xs`` by the integral form: one
+    bincount of zeta-exponents over the y with 1-xy != 0."""
+    n = t.n
+    y, ey = _y_terms(t, jb, jc)
+    rows = np.zeros((len(xs), n), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // len(y))
+    for lo in range(0, len(xs), step):
+        block = xs[lo:lo + step]
+        z = t.one_minus[t.vmul(block[:, None], y[None, :])]
+        i, k = np.nonzero((block[:, None] != 0) & (z != 0))
+        idx = i * n + (ey[k] - ja * t.log_[z[i, k]]) % n
+        rows[lo:lo + step] = np.bincount(idx, minlength=len(block) * n).reshape(-1, n)
+    return rows
+
+
+def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
+                    xs: np.ndarray) -> np.ndarray:
+    """Sum over y of the rows of ``below`` (one per code) at xy, each
+    rolled by the exponent of A(y) conj(A)B(1-y), for each x of ``xs``."""
+    y, ey = _y_terms(t, ja, jb)
+    rows = np.zeros((len(xs), t.n), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // t.n)
+    for lo in range(0, len(xs), step):
+        block = xs[lo:lo + step]
+        acc = rows[lo:lo + step]
+        for yk, e in zip(y.tolist(), ey.tolist()):
+            acc += np.roll(below[t.vmul(block, yk)], e, axis=1)
+    return rows
 
 
 def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
@@ -139,16 +236,17 @@ class TwoSquares:
 def cornacchia(p: int) -> TwoSquares:
     """Decompose a prime p = 1 mod 4 as x**2 + y**2, x odd.
 
-    Deterministic: the square root of -1 is g**((p-1)/4) for the field's
-    canonical generator g; the descending Euclid remainder sequence on
-    (p, s) is then read off at the first remainder below sqrt(p).
+    Deterministic: the square root of -1 is s = c**((p-1)/4) for the
+    smallest quadratic non-residue c (Euler's criterion); the descending
+    Euclid remainder sequence on (p, s) is then read off at the first
+    remainder below sqrt(p).
     """
     if not is_prime(p) or p % 2 == 0:
         raise FieldError(f"{p} is not an odd prime")
     if p % 4 != 1:
         raise ValueError(f"no two-squares representation: {p} = 3 mod 4")
-    g = make_field(p).gen
-    s = pow(g, (p - 1) // 4, p)
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    s = pow(c, (p - 1) // 4, p)
     a, b = p, s
     limit = isqrt(p)
     while b > limit:

@@ -2,9 +2,9 @@
 
 This is the reference the columnar evaluators of :mod:`hypergf.audit`
 are held to: every side is built from scalar field arithmetic, the
-per-curve counters ``count_*``, :func:`two_f_one`, :func:`hyp_eval`
-and :func:`ono_value_minus1`, and combined with ``Fraction``.  The
-domains are plain lists of parameter tuples.
+per-curve counters ``count_*``, :func:`two_f_one`, the sum over chi of
+``_chisum_referee`` and :func:`ono_value_minus1`, and combined with
+``Fraction``.  The domains are plain lists of parameter tuples.
 
 ``REFEREE[key]`` is ``(points, evaluate)``: ``points(ctx)`` lists the
 domain of the identity in one admissible field, sorted, and
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import _chisum_referee as chisum_referee
 from hypergf import hyp
 from hypergf.chars import phi_at_minus_one, quadratic_character, trivial_character
 from hypergf.curves import (
@@ -220,7 +221,7 @@ def gratio(ctx, pt):
 def g316(ctx, pt):
     (lam,) = pt
     phi, eps = quadratic_character(ctx), trivial_character(ctx)
-    lhs = hyp.hyp_eval(HypSpec(top=(phi, eps), bottom=(phi,), x=lam))
+    lhs = chisum_referee.hyp_eval(HypSpec(top=(phi, eps), bottom=(phi,), x=lam))
     rhs = Fraction(-phi_at_minus_one(ctx) * (1 + _phi_sign(ctx, lam)), ctx.q)
     return lhs, rhs
 

@@ -253,6 +253,14 @@ def test_sweep49_emit_is_pinned():
         assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, digest), fmt
 
 
+def test_sweep81_emit_is_pinned():
+    # taken before G-316 moved from the sum over chi to Greene's integral
+    # form; covers G-316 over F_81 = F_{3^4}
+    payload = emit(sweep(81), "json")
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
+        39_147_625, "c85b36a1d375c736b50a13cc36aa40cc59a12844a35927947047f1486e80465c")
+
+
 def test_records_are_built_on_first_read():
     report = audit_identity("C4.2", [5, 7, 9, 11, 13])
     assert report._records is None                 # nothing built by the audit

@@ -121,9 +121,10 @@ def test_usage_errors(capsys):
     ("20", ["audit", "--all", "--qmax", "30"]),
     (str(2 ** 21), ["audit", "--all", "--qmax", str(2 ** 20 + 7)]),
     (None, ["evalnfn", "--p", "13", "--top", "2,2", "--bottom", "0", "--x", "-1"]),
+    (None, ["evalnfn", "--p", "65521", "--top", "1,2,3", "--bottom", "4,5", "--x", "2"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
-        "evalnfn-not-rational"])
+        "evalnfn-not-rational", "evalnfn-order-3-column-too-large"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []
     monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
@@ -171,3 +172,13 @@ def test_audit_provenance_mismatch_computes_nothing(capsys, monkeypatch):
                         "--provenance", "printed", "--qmax", "49")
     assert (code, out) == (0, "[]\n")
     assert built == []                  # no field built for a filtered-out identity
+
+
+def test_evalnfn_order_bound_builds_no_field(capsys, monkeypatch):
+    from hypergf import cli
+    built = []
+    monkeypatch.setattr(cli, "make_field", lambda *args: built.append(args))
+    code, out, err = _run(capsys, "evalnfn", "--p", "65521", "--top", "1,2,3",
+                          "--bottom", "4,5", "--x", "2")
+    assert (code, out, built) == (1, "", [])
+    assert "cell bound" in err

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _chisum_referee as chisum_referee
 from hypergf import (
     Character,
     HypSpec,
@@ -11,6 +15,7 @@ from hypergf import (
     WeierstrassParams,
     cornacchia,
     count_weierstrass,
+    hyp,
     hyp_eval,
     make_field,
     ono_value_minus1,
@@ -18,7 +23,9 @@ from hypergf import (
     trivial_character,
     two_f_one,
 )
-from hypergf.ff import is_prime, odd_prime_powers
+from hypergf.audit import cached_field
+from hypergf.cyclo import NonRationalValueError, reduce_mod_cyclotomic
+from hypergf.ff import FieldError, is_prime, odd_prime_powers
 
 
 def _phi_phi_eps(ctx, x):
@@ -118,6 +125,67 @@ def test_series_matches_counts_at_large_fields(p, r, field):
         assert value == pm1 * two_f_one(ctx, ctx.sub(ctx.one, lam))
 
 
+@st.composite
+def _generic_specs(draw):
+    # every odd prime power q <= 27, so 9, 25 and 27 are drawn too; the
+    # characters lean on eps and phi, where most values are rational
+    ctx = cached_field(*draw(st.sampled_from(odd_prime_powers(27))))
+    n = ctx.q - 1
+    index = st.one_of(st.sampled_from([0, n // 2]), st.integers(0, n - 1))
+    k = draw(st.integers(1, 4))
+    top = tuple(Character(ctx, draw(index)) for _ in range(k))
+    bottom = tuple(Character(ctx, draw(index)) for _ in range(k - 1))
+    return HypSpec(top=top, bottom=bottom, x=draw(st.integers(0, ctx.q - 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_generic_specs())
+def test_recursion_matches_the_chi_sum(spec):
+    # Greene's recursion against his definition: the same value, or the
+    # same non-rational canonical form (the chi-sum vector carries an
+    # extra factor q-1 against the recursion's q**(k-1) F)
+    ctx = spec.ctx
+    n = ctx.q - 1
+    row = hyp._series_rows(ctx, [c.j for c in spec.top], [c.j for c in spec.bottom],
+                           np.array([spec.x]))[0]
+    assert reduce_mod_cyclotomic(chisum_referee.chisum_vector(spec), n) == \
+        reduce_mod_cyclotomic([n * int(v) for v in row], n)
+    try:
+        want = chisum_referee.hyp_eval(spec)
+    except NonRationalValueError:
+        with pytest.raises(NonRationalValueError):
+            hyp_eval(spec)
+    else:
+        assert hyp_eval(spec) == want
+
+
+def test_hyp_values_is_hyp_eval_per_argument(field):
+    ctx = field(3, 3)
+    top = (Character(ctx, 13), Character(ctx, 0), Character(ctx, 13))
+    bottom = (Character(ctx, 13), Character(ctx, 0))
+    xs = list(range(ctx.q))
+    values = hyp.hyp_values(top, bottom, xs)
+    assert values == [hyp_eval(HypSpec(top=top, bottom=bottom, x=x)) for x in xs]
+    assert values[0] == 0
+
+
+def test_order_bound(monkeypatch, field):
+    hyp.check_order(4096, 3)                       # 4096 * 4095 < 2^24 cells
+    with pytest.raises(FieldError, match="cell bound"):
+        hyp.check_order(4099, 3)
+    hyp.check_order(65521, 2)                      # no column below a 2F1
+    hyp.check_order(3, 40)                         # 3^39 < 2^62
+    with pytest.raises(FieldError, match="2\\^62"):
+        hyp.check_order(3, 41)
+    # hyp_eval refuses before any row is allocated
+    ctx = field(7)
+    phi = quadratic_character(ctx)
+    monkeypatch.setattr(hyp, "MAX_COLUMN_CELLS", 7 * 6 - 1)
+    monkeypatch.setattr(hyp, "numpy_tables", None)
+    with pytest.raises(FieldError, match="order-3"):
+        hyp_eval(HypSpec(top=(phi,) * 3, bottom=(phi,) * 2, x=3))
+
+
 def test_generator_choice_does_not_change_values(field):
     default = field(13)
     alt = make_field(13, generator=11)
@@ -170,6 +238,17 @@ def test_cornacchia_all_primes_to_229():
         brute = [(x, isqrt(p - x * x)) for x in range(1, isqrt(p) + 1, 2)
                  if isqrt(p - x * x) ** 2 == p - x * x]
         assert (ts.x, ts.y) in brute
+
+
+def test_cornacchia_matches_brute_force_below_2000():
+    # the normalized representation is unique; search it exhaustively
+    for p in range(5, 2000, 4):
+        if not is_prime(p):
+            continue
+        brute = next((x, y) for x in range(1, isqrt(p) + 1, 2)
+                     for y in [isqrt(p - x * x)] if x * x + y * y == p and y > 0)
+        ts = cornacchia(p)
+        assert (ts.x, ts.y) == brute, p
 
 
 def test_two_squares_validation():
