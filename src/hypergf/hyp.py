@@ -32,11 +32,12 @@ The workhorse is the (phi, phi; eps) specialization
 
     F(lambda) = phi(-1)/q * sum over y of phi(y) phi(1-y) phi(1-lambda y),
 
-an integer over q: one dot product of length q per argument against the
-per-field cached weights phi(y) phi(1-y), so O(q) work per argument and
-no table.  Also here: the two-squares decomposition of a prime
-p = 1 mod 4 (Hermite-Serret / Cornacchia, deterministic) and the
-closed-form value of the series at -1 built from it.
+an integer over q.  With y = g**i, lambda = g**k and u[j] = phi(1 - g**j)
+(indices mod q-1), phi(y) phi(1-y) = (-1)**i u[i] and phi(1-lambda y) =
+u[i+k]: q F(lambda) is per-field weights dotted with the contiguous window
+u2[k : k+q-1] of u2 = (u, u), O(q) per argument, no gather and no memo.
+Also here: the two-squares decomposition of a prime p = 1 mod 4
+(Hermite-Serret / Cornacchia, deterministic) and the closed form at -1.
 """
 
 from __future__ import annotations
@@ -191,27 +192,25 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
 def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
     """The (phi, phi; eps) hypergeometric value at lambda, exact.
 
-    Greene's sum phi(-1)/q * sum_y phi(y) phi(1-y) phi(1-lambda y): an
-    integer of size at most q over q, O(q) per argument.  The value at 0
-    is 0 (Greene's eps(lambda) factor), and 1 is evaluated like any
-    other argument.  Values are memoized per field.
+    Greene's sum phi(-1)/q * sum_y phi(y) phi(1-y) phi(1-lambda y) as one
+    window dot product in log coordinates (module docstring), O(q) and not
+    memoized.  The value at 0 is 0 (Greene's eps(lambda) factor), 1 is an
+    ordinary argument, and a code outside range(q) raises ValueError.
     """
-    memo = ctx._cache.setdefault("two_f_one_values", {})
-    val = memo.get(lam)
-    if val is not None:
-        return val
+    if not 0 <= lam < ctx.q:
+        raise ValueError(f"{lam} is not an element code of F_{ctx.q}")
     if lam == ctx.zero:
-        val = Fraction(0)
-    else:
+        return Fraction(0)
+    # perfbench/spans.py reads this key to spot a cold call
+    window = ctx._cache.get("squared_phi_binom_table")
+    if window is None:
         t = numpy_tables(ctx)
-        # phi(y) phi(1-y); perfbench/spans.py reads this key to spot a cold call
-        w = ctx._cache.get("squared_phi_binom_table")
-        if w is None:
-            w = ctx._cache["squared_phi_binom_table"] = t.phi * t.phi[t.one_minus]
-        terms = t.phi[t.one_minus[t.vmul(lam, np.arange(ctx.q))]]
-        val = Fraction(phi_at_minus_one(ctx) * int(w @ terms), ctx.q)
-    memo[lam] = val
-    return val
+        u = t.phi[t.one_minus[t.exp_]]  # phi(1 - g**i); phi(g**i) = (-1)**i
+        window = ctx._cache["squared_phi_binom_table"] = (
+            phi_at_minus_one(ctx) * t.phi[t.exp_] * u, np.concatenate((u, u)))
+    w, u2 = window
+    k = ctx.log[lam]
+    return Fraction(int(w @ u2[k:k + len(w)]), ctx.q)
 
 
 # ---------------------------------------------------------------------------

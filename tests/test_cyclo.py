@@ -24,6 +24,14 @@ def test_cyclotomic_polynomials():
         cyclotomic_polynomial(0)
 
 
+@pytest.mark.parametrize("ns", [range(1, 400), (1008, 1020, 2046, 4092, 4095)])
+def test_cyclotomic_polynomials_match_sympy(ns):
+    sympy = pytest.importorskip("sympy")
+    for n in ns:
+        expected = sympy.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == tuple(int(c) for c in expected), n
+
+
 def test_unit_elements():
     assert Z(4, 0) == 1
     assert Z(4, 2) == -1            # zeta_4^2 = -1 via Phi_4 = x^2+1

@@ -66,6 +66,31 @@ def test_specialized_equals_generic(p, r, field):
         assert two_f_one(ctx, lam) == hyp_eval(_phi_phi_eps(ctx, lam))
 
 
+@pytest.mark.parametrize("p,r", [(503, 1), (7, 3), (1009, 1)])
+def test_window_equals_integral_form_on_whole_field(p, r):
+    # the benchmark's fields; the integral form is a separate code path
+    ctx = make_field(p, r)
+    phi, eps = quadratic_character(ctx), trivial_character(ctx)
+    expected = hyp.hyp_values((phi, phi), (eps,), range(ctx.q))
+    keys = set(ctx._cache)
+    assert two_f_one(ctx, 0) == expected[0] == 0
+    assert set(ctx._cache) == keys
+    # one per-field key on the first nonzero lambda, no memo after it
+    assert two_f_one(ctx, 1) == expected[1]
+    assert len(set(ctx._cache) - keys) == 1
+    keys = set(ctx._cache)
+    assert [two_f_one(ctx, lam) for lam in range(ctx.q)] == expected
+    assert set(ctx._cache) == keys
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
+def test_two_f_one_rejects_codes_outside_the_field(p, r, field):
+    ctx = field(p, r)
+    for lam in (-1, ctx.q, 10 ** 9):
+        with pytest.raises(ValueError, match="not an element code"):
+            two_f_one(ctx, lam)
+
+
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
 def test_phi_eps_phi_closed_form(p, r, field):
     # the (phi, eps; phi) sum collapses to -phi(-1)(1+phi(x))/q off x in {0, 1}
