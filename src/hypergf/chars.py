@@ -44,8 +44,7 @@ class Character:
         return self.j == (self.ctx.q - 1) // 2
 
     def __mul__(self, other: Character) -> Character:
-        _same_field(self, other)
-        return Character(self.ctx, self.j + other.j)
+        return Character(same_field(self, other), self.j + other.j)
 
     def conjugate(self) -> Character:
         """The inverse character 1/chi."""
@@ -54,7 +53,7 @@ class Character:
     def __call__(self, x: int) -> GroupRingElement:
         """chi(x) as an exact group-ring element; chi(0) = 0."""
         n = self.ctx.q - 1
-        if x == self.ctx.zero:
+        if self.ctx.check_code(x) == self.ctx.zero:
             return GroupRingElement.zero(n)
         return GroupRingElement.zeta_power(n, self.j * self.ctx.dlog(x))
 
@@ -125,25 +124,26 @@ def scaled_binomial_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
 # exact object layer
 # ---------------------------------------------------------------------------
 
-def _same_field(a: Character, b: Character):
-    if a.ctx != b.ctx:
-        raise ValueError("characters over different fields")
+def same_field(*chars: Character) -> FieldContext:
+    """The one field of ``chars``; ValueError if they mix fields."""
+    ctx = chars[0].ctx
+    if any(chi.ctx != ctx for chi in chars):
+        raise ValueError("all characters must share one field")
+    return ctx
 
 
 def jacobi_sum(a: Character, b: Character) -> GroupRingElement:
     """J(A, B) = sum over x in F_q of A(x) B(1-x), exact."""
-    _same_field(a, b)
-    n = a.ctx.q - 1
-    return GroupRingElement.from_int_vector(n, jacobi_vector(a.ctx, a.j, b.j))
+    ctx = same_field(a, b)
+    return GroupRingElement.from_int_vector(ctx.q - 1, jacobi_vector(ctx, a.j, b.j))
 
 
 def binomial_symbol(a: Character, b: Character) -> GroupRingElement:
     """(A choose B) = B(-1)/q * J(A, conj(B)); q times it is a cyclotomic
     integer."""
-    _same_field(a, b)
-    n = a.ctx.q - 1
-    vec = scaled_binomial_vector(a.ctx, a.j, b.j)
-    return GroupRingElement.from_int_vector(n, vec, denominator=a.ctx.q)
+    ctx = same_field(a, b)
+    vec = scaled_binomial_vector(ctx, a.j, b.j)
+    return GroupRingElement.from_int_vector(ctx.q - 1, vec, denominator=ctx.q)
 
 
 def eval_char(chi: Character, x: int) -> GroupRingElement:

@@ -15,7 +15,10 @@ Everything downstream keys on this fixed representation:
   multiplicative order q-1,
 
 so discrete logarithms, character values, and every derived table are
-reproducible across runs.
+reproducible across runs.  The exp/log arrays are filled by doubling:
+multiplication by an element is an r x r matrix over F_p, so the powers
+gen**m .. gen**(2m-1) are the first m powers times the matrix of gen**m,
+about log2(q) numpy steps.
 """
 
 from __future__ import annotations
@@ -106,14 +109,9 @@ def _digits(code, weights) -> list:
     return out
 
 
-def _code(digits, weights) -> int:
-    """The element code of reduced digits (c_0, ..., c_{r-1})."""
-    return sum(c * w for c, w in zip(digits, weights))
-
-
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (dense, low coefficient first, used only at
-# construction time; runtime arithmetic goes through the exp/log tables)
+# polynomial helpers over F_p (dense, low coefficient first), used only to
+# find the modulus and the multiplication matrices of make_field
 # ---------------------------------------------------------------------------
 
 def _poly_rem(num, den: tuple[int, ...], p: int) -> list[int]:
@@ -157,8 +155,10 @@ def _find_modulus(p: int, r: int) -> tuple[int, ...]:
 class FieldContext:
     """A fully materialized finite field F_q, q = p**r, p an odd prime.
 
-    Immutable after construction; all methods are pure reads, so a
-    context can be shared freely across workers.
+    Its only discrete-log store is two read-only int64 arrays: exp[k] is
+    the code of gen**k (k < q-1) and log[code] its dlog, with log[0] = 0,
+    which every caller masks.  Immutable; all methods are pure reads and
+    scalar ones return Python ints, so a context can be shared freely.
     """
 
     __slots__ = (
@@ -167,24 +167,25 @@ class FieldContext:
     )
 
     def __init__(self, p: int, r: int, modulus: tuple[int, ...],
-                 gen: int, exp: list[int], log: list[int | None]):
+                 gen: int, exp: np.ndarray, log: np.ndarray):
         self.p = p
         self.r = r
         self.q = p ** r
         self.modulus = modulus
         self.gen = gen
-        self.exp = exp          # exp[k] = code of gen**k, k in 0..q-2
-        self.log = log          # log[code] = dlog, log[0] is None
+        self.exp = exp
+        self.log = log
         self._pow_weights = _weights(p, r)
         self._cache: dict = {}
 
-    # -- identity / hashing: a field is determined by (p, r) because the
-    #    modulus and generator choices are deterministic functions of them.
+    # -- identity / hashing: a field is (p, r, gen).  The modulus follows
+    #    from (p, r); gen fixes every discrete log and character value.
     def __eq__(self, other):
-        return isinstance(other, FieldContext) and (self.p, self.r) == (other.p, other.r)
+        return (isinstance(other, FieldContext)
+                and (self.p, self.r, self.gen) == (other.p, other.r, other.gen))
 
     def __hash__(self):
-        return hash((self.p, self.r))
+        return hash((self.p, self.r, self.gen))
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, r={self.r}, q={self.q})"
@@ -199,6 +200,12 @@ class FieldContext:
     def one(self) -> int:
         return self._pow_weights[0]
 
+    def check_code(self, x: int) -> int:
+        """x if it is an element code (in range(q)), else ValueError."""
+        if not 0 <= x < self.q:
+            raise ValueError(f"{x} is not an element code of F_{self.q}")
+        return x
+
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{r-1}) of the element code x."""
         return tuple(_digits(x, self._pow_weights))
@@ -207,7 +214,7 @@ class FieldContext:
         cs = [c % self.p for c in coeffs]
         if len(cs) > self.r and any(cs[self.r:]):
             raise FieldError(f"coefficient vector longer than degree {self.r}")
-        return _code(cs, self._pow_weights)
+        return sum(c * w for c, w in zip(cs, self._pow_weights))
 
     def element(self, value) -> int:
         """Coerce an int (reduced mod p, constant element) or coefficient
@@ -221,30 +228,23 @@ class FieldContext:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.p
         return self.from_coeffs([ca + cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
 
     def sub(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a - b) % self.p
         return self.from_coeffs([ca - cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
 
     def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.p
         return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        n = self.q - 1
-        return self.exp[(self.log[a] + self.log[b]) % n]
+        return self.exp.item((self.log.item(a) + self.log.item(b)) % (self.q - 1))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in finite field")
-        return self.exp[(-self.log[a]) % (self.q - 1)]
+        return self.exp.item(-self.log.item(a) % (self.q - 1))
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply, e >= 0."""
@@ -254,19 +254,9 @@ class FieldContext:
 
     def dlog(self, x: int) -> int:
         """Discrete log base gen; defined for nonzero x only."""
-        if x == 0:
+        if self.check_code(x) == 0:
             raise ValueError("discrete log of zero is undefined")
-        return self.log[x]
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    r = len(modulus) - 1
-    out = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, modulus, p)
+        return self.log.item(x)
 
 
 def q_cap(cap: int | None = None) -> int:
@@ -308,17 +298,23 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
         raise FieldError(f"q={q} exceeds the configured cap {limit}")
 
     modulus = _find_modulus(p, r)
-    weights = _weights(p, r)
-    one = weights[0]
+    assert r * (p - 1) ** 2 < 2 ** 63, "int64 matrix products over F_p overflow"
+    n, weights, eye = q - 1, _weights(p, r), np.eye(r, dtype=np.int64)
 
-    def mul_codes(a, b):
-        prod = _poly_mul_mod(_digits(a, weights), _digits(b, weights), modulus, p)
-        return _code(prod, weights)
+    def matmul(a, b):
+        return (a @ b) % p
+
+    def mul_matrix(b):
+        # digits(x*b) = matmul(digits(x), mul_matrix(b)): row j is t**j * b
+        row = _digits(b, weights)
+        return np.array([_poly_rem([0] * j + row, modulus, p) for j in range(r)],
+                        dtype=np.int64)
 
     def order_is_maximal(g):
         # g has order q-1 iff g**((q-1)/l) != 1 for every prime l | q-1
-        return all(_power(mul_codes, one, g, (q - 1) // ell) != one
-                   for ell in prime_factors(q - 1))
+        m = mul_matrix(g)
+        return all(not np.array_equal(_power(matmul, eye, m, n // ell), eye)
+                   for ell in prime_factors(n))
 
     if generator is None:
         gen = next(g for g in range(1, q) if order_is_maximal(g))
@@ -327,16 +323,21 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
             raise FieldError(f"{generator} does not generate the multiplicative group")
         gen = generator
 
-    exp = [0] * (q - 1)
-    log: list[int | None] = [None] * q
-    x = one
-    for k in range(q - 1):
-        exp[k] = x
-        log[x] = k
-        x = mul_codes(x, gen)
-    if x != one or any(log[c] is None for c in range(1, q)):
+    # digits of gen**k: rows [m, 2m) are rows [0, m) times gen**m, whose
+    # matrix ``step`` is then squared
+    digits = np.zeros((n, r), dtype=np.int64)
+    digits[0, 0] = 1
+    step, m = mul_matrix(gen), 1
+    while m < n:
+        k = min(m, n - m)
+        digits[m:m + k] = matmul(digits[:k], step)
+        step, m = matmul(step, step), m + k
+    exp = digits @ np.array(weights, dtype=np.int64)
+    if not np.array_equal(np.sort(exp), np.arange(1, q)):
         raise FieldError("generator does not enumerate the multiplicative group")
-
+    log = np.zeros(q, dtype=np.int64)
+    log[exp] = np.arange(n)
+    exp.flags.writeable = log.flags.writeable = False
     return FieldContext(p, r, modulus, gen, exp, log)
 
 
@@ -346,9 +347,10 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
 # ---------------------------------------------------------------------------
 
 class NumpyTables:
-    """Vectorized views of one field: log/exp, negation, squares, the
+    """Vectorized views of one field: the context's own log/exp arrays
+    (``log_[0]`` is 0 and must always be masked), negation, squares, the
     number-of-square-roots table, quadratic-character values, and the
-    codes of 1-x.  ``log_[0]`` is 0 and must always be masked."""
+    codes of 1-x."""
 
     __slots__ = ("q", "n", "log_", "exp_", "neg_", "sq", "nsqrt", "phi",
                  "one_minus", "digits", "weights", "p")
@@ -357,17 +359,16 @@ class NumpyTables:
         q, p = ctx.q, ctx.p
         self.q, self.p = q, p
         self.n = q - 1
-        self.log_ = np.array([0] + ctx.log[1:], dtype=np.int64)
-        self.exp_ = np.array(ctx.exp, dtype=np.int64)
+        self.log_ = ctx.log
+        self.exp_ = ctx.exp
         codes = np.arange(q)
         self.digits = np.stack(_digits(codes, ctx._pow_weights), axis=1)
         self.weights = np.array(ctx._pow_weights, dtype=np.int64)
         self.neg_ = ((-self.digits) % p) @ self.weights
         self.sq = self.vmul(codes, codes)
         self.nsqrt = np.bincount(self.sq, minlength=q)
-        self.phi = np.zeros(q, dtype=np.int64)
-        nz = codes[1:]
-        self.phi[nz] = np.where(self.log_[nz] % 2 == 0, 1, -1)
+        self.phi = 1 - 2 * (self.log_ % 2)
+        self.phi[0] = 0
         self.one_minus = self.vadd(ctx.one, self.neg_)
 
     def vadd(self, a, b):

@@ -48,7 +48,7 @@ from math import isqrt
 
 import numpy as np
 
-from .chars import Character, char_sign_at_minus_one, phi_at_minus_one
+from .chars import Character, char_sign_at_minus_one, phi_at_minus_one, same_field
 # jacobi_vector is unused here; perfbench/spans.py traces it at this binding
 from .chars import jacobi_vector
 # convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
@@ -64,13 +64,11 @@ MAX_COLUMN_CELLS = 2 ** 24
 _BLOCK_CELLS = 2 ** 20
 
 
-def _check_characters(top, bottom):
+def _check_characters(top, bottom) -> FieldContext:
+    """The characters' one field, after checking their counts."""
     if len(top) != len(bottom) + 1:
         raise ValueError("need exactly one more top character than bottom")
-    ctx = top[0].ctx
-    for chi in (*top, *bottom):
-        if chi.ctx != ctx:
-            raise ValueError("all characters must share one field")
+    return same_field(*top, *bottom)
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,7 @@ class HypSpec:
 
     def __post_init__(self):
         _check_characters(self.top, self.bottom)
+        self.ctx.check_code(self.x)
 
     @property
     def ctx(self) -> FieldContext:
@@ -118,11 +117,10 @@ def hyp_values(top: tuple[Character, ...], bottom: tuple[Character, ...],
                xs) -> list[Fraction]:
     """:func:`hyp_eval` at every argument code of ``xs``, from one pass of
     the recursion."""
-    _check_characters(top, bottom)
-    ctx = top[0].ctx
+    ctx = _check_characters(top, bottom)
     n, scale = ctx.q - 1, ctx.q ** (len(top) - 1)
     rows = _series_rows(ctx, [chi.j for chi in top], [chi.j for chi in bottom],
-                        np.asarray(xs, dtype=np.int64))
+                        np.asarray([ctx.check_code(x) for x in xs], dtype=np.int64))
     return [rational_from_vector(row, n) / scale for row in rows.tolist()]
 
 
@@ -197,9 +195,7 @@ def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
     memoized.  The value at 0 is 0 (Greene's eps(lambda) factor), 1 is an
     ordinary argument, and a code outside range(q) raises ValueError.
     """
-    if not 0 <= lam < ctx.q:
-        raise ValueError(f"{lam} is not an element code of F_{ctx.q}")
-    if lam == ctx.zero:
+    if ctx.check_code(lam) == ctx.zero:
         return Fraction(0)
     # perfbench/spans.py reads this key to spot a cold call
     window = ctx._cache.get("squared_phi_binom_table")
@@ -209,7 +205,7 @@ def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
         window = ctx._cache["squared_phi_binom_table"] = (
             phi_at_minus_one(ctx) * t.phi[t.exp_] * u, np.concatenate((u, u)))
     w, u2 = window
-    k = ctx.log[lam]
+    k = ctx.log.item(lam)
     return Fraction(int(w @ u2[k:k + len(w)]), ctx.q)
 
 

@@ -1,7 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 
+import _field_referee as referee
 from hypergf import FieldError, make_field, odd_prime_powers
-from hypergf.ff import is_prime, prime_factors
+from hypergf.ff import is_prime, numpy_tables, prime_factors
 
 
 def test_make_field_f5(field):
@@ -119,8 +123,8 @@ def test_make_field_is_pure():
     b = make_field(3, 2)
     assert a.modulus == b.modulus
     assert a.gen == b.gen
-    assert a.exp == b.exp
-    assert a.log == b.log
+    assert np.array_equal(a.exp, b.exp)
+    assert np.array_equal(a.log, b.log)
 
 
 def test_explicit_generator(field):
@@ -148,3 +152,73 @@ def test_number_theory_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(48) == [2, 3]
     assert odd_prime_powers(13) == [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the doubling fill against the per-element referee
+# ---------------------------------------------------------------------------
+
+def _same_as_referee(ctx, generator=None):
+    modulus, gen, exp, log = referee.referee_field(ctx.p, ctx.r, generator)
+    assert (ctx.modulus, ctx.gen) == (modulus, gen)
+    assert ctx.exp.tolist() == exp
+    assert ctx.log.tolist() == [0] + log[1:]
+
+
+def test_fill_equals_referee_for_every_small_field():
+    for p, r in odd_prime_powers(1000):
+        _same_as_referee(make_field(p, r))
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_explicit_generator_path_equals_referee(p, r):
+    # every candidate code, in range or not: both accept it, or both refuse it
+    for g in range(-1, p ** r + 1):
+        try:
+            expected = referee.referee_field(p, r, g)
+        except FieldError:
+            with pytest.raises(FieldError, match="generate"):
+                make_field(p, r, generator=g)
+        else:
+            assert expected[1] == g
+            _same_as_referee(make_field(p, r, generator=g), g)
+
+
+@pytest.mark.parametrize("p,r", [(65521, 1), (3, 10), (7, 5)])
+def test_fill_at_large_fields(p, r):
+    ctx = make_field(p, r)
+    q = ctx.q
+    assert np.array_equal(np.sort(ctx.exp), np.arange(1, q))
+    assert np.array_equal(ctx.log[ctx.exp], np.arange(q - 1))
+    rng = random.Random(p * 100 + r)
+    for k in [0, q - 2] + rng.sample(range(q - 2), 40):
+        step = referee.mul_codes(p, ctx.modulus, ctx.exp.item(k), ctx.gen)
+        assert step == ctx.exp.item((k + 1) % (q - 1))
+
+
+def test_one_store_read_only(field):
+    for ctx in (field(13), field(3, 2)):
+        t = numpy_tables(ctx)
+        assert t.log_ is ctx.log and t.exp_ is ctx.exp
+        assert ctx.log.dtype == ctx.exp.dtype == np.int64
+        assert (len(ctx.exp), len(ctx.log), ctx.log[0]) == (ctx.q - 1, ctx.q, 0)
+        for arr in (ctx.exp, ctx.log):
+            with pytest.raises(ValueError):
+                arr[1] = 0
+        assert type(ctx.mul(2, 3)) is int and type(ctx.dlog(2)) is int
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
+def test_codes_outside_the_field_are_refused(p, r, field):
+    ctx = field(p, r)
+    for x in (-1, ctx.q, 10 ** 9):
+        with pytest.raises(ValueError, match="not an element code"):
+            ctx.check_code(x)
+        with pytest.raises(ValueError, match="not an element code"):
+            ctx.dlog(x)
+
+
+def test_generator_is_part_of_a_fields_identity(field):
+    default, alt = field(13), make_field(13, generator=6)
+    assert default != alt and default == make_field(13)
+    assert hash(default) == hash(make_field(13))

@@ -17,6 +17,7 @@ from hypergf import (
     count_weierstrass,
     hyp,
     hyp_eval,
+    jacobi_sum,
     make_field,
     ono_value_minus1,
     quadratic_character,
@@ -89,6 +90,34 @@ def test_two_f_one_rejects_codes_outside_the_field(p, r, field):
     for lam in (-1, ctx.q, 10 ** 9):
         with pytest.raises(ValueError, match="not an element code"):
             two_f_one(ctx, lam)
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
+def test_generic_series_rejects_codes_outside_the_field(p, r, field):
+    # a negative code used to wrap round to q-1 (F_9: 2/9 instead of F(-1) = 2/3)
+    ctx = field(p, r)
+    phi, eps = quadratic_character(ctx), trivial_character(ctx)
+    for x in (-1, ctx.q, 10 ** 9):
+        with pytest.raises(ValueError, match="not an element code"):
+            _phi_phi_eps(ctx, x)
+        with pytest.raises(ValueError, match="not an element code"):
+            hyp.hyp_values((phi, phi), (eps,), [1, x])
+        with pytest.raises(ValueError, match="not an element code"):
+            phi(x)
+    assert hyp_eval(_phi_phi_eps(ctx, ctx.element(-1))) == two_f_one(ctx, ctx.element(-1))
+
+
+def test_fields_that_differ_in_generator_do_not_mix(field):
+    default, alt = field(13), make_field(13, generator=6)
+    chi, chi_alt = Character(default, 1), Character(alt, 1)
+    assert chi != chi_alt     # chi_1(6) is a different root of unity on each
+    eps = trivial_character(default)
+    with pytest.raises(ValueError, match="one field"):
+        chi * chi_alt
+    with pytest.raises(ValueError, match="one field"):
+        jacobi_sum(chi, chi_alt)
+    with pytest.raises(ValueError, match="one field"):
+        HypSpec(top=(chi, chi_alt), bottom=(eps,), x=2)
 
 
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
