@@ -28,9 +28,10 @@ values.  An evaluator returns each side as a :class:`Column` of int64
 numerators over that denominator.  It reads the per-field family tables
 of :mod:`hypergf.curves`, the field's :class:`NumpyTables` and one
 per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
-and pass flags are integer column arithmetic, :func:`emit` renders rows
-straight from the columns, and ``Fraction`` appears only in the
-``PointRecord``s a report builds when its ``records`` are first read.
+and pass flags are integer column arithmetic, and a report's status
+comes from its count of failing rows.  :func:`emit` renders rows straight
+from the columns, and ``Fraction`` appears only in the ``PointRecord``s a
+report builds when its ``records`` or ``counterexamples`` are first read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import lcm
 from typing import Callable, Iterable
 
@@ -68,16 +68,23 @@ class Column:
 
     def fractions(self) -> list[Fraction]:
         """Every entry as a Fraction, one object per distinct numerator."""
+        return self._per_distinct(lambda nums: [Fraction(n, self.den) for n in nums])
+
+    def strings(self) -> list[str]:
+        """Every entry as "num/den" in lowest terms, as Fraction keeps it,
+        one string per distinct numerator."""
+        def render(nums):
+            g = np.gcd(nums, self.den)
+            return [f"{n}/{d}" for n, d in zip((nums // g).tolist(), (self.den // g).tolist())]
+        return self._per_distinct(render)
+
+    def _per_distinct(self, make) -> list:
+        """``make(distinct numerators)``, one value per distinct numerator,
+        spread back over every entry."""
         distinct, where = np.unique(self.num, return_inverse=True)
         made = np.empty(len(distinct), dtype=object)
-        made[:] = [Fraction(int(n), self.den) for n in distinct]
+        made[:] = make(distinct)
         return made[where].tolist()
-
-    def reduced(self) -> tuple[list[int], list[int]]:
-        """Numerators and denominators in lowest terms, as Fraction keeps
-        them."""
-        g = np.gcd(self.num, self.den)
-        return (self.num // g).tolist(), (self.den // g).tolist()
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,11 @@ class FieldColumns:
 @dataclass
 class IdentityReport:
     """One identity audited over a list of fields.  ``columns`` holds one
-    :class:`FieldColumns` per admissible field, in q order; ``records``
-    passed as None are built from them the first time they are read."""
+    :class:`FieldColumns` per admissible field, in q order, and
+    ``failures`` counts their failing rows; the status reads that count.
+    ``records`` and ``counterexamples`` passed as None are built from the
+    columns the first time they are read: every row, and the first
+    ``cap`` failing rows."""
 
     identity: str
     provenance: str
@@ -149,29 +159,44 @@ class IdentityReport:
     counterexamples: list[PointRecord] = field(default_factory=list)
     truncated: bool = False
     columns: tuple[FieldColumns, ...] = field(default=(), repr=False, compare=False)
+    failures: int = 0
+    cap: int = field(default=COUNTEREXAMPLE_CAP, repr=False, compare=False)
 
     @property
     def status(self) -> str:
-        return "PASS" if not self.counterexamples else "FAIL"
+        return "PASS" if self.passed else "FAIL"
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples
+        return self.failures == 0
 
 
-def _get_records(report: IdentityReport) -> list[PointRecord]:
-    if report._records is None:
-        report._records = [rec for block in report.columns for rec in block.records()]
-    return report._records
+def _first_failures(report: IdentityReport) -> list[PointRecord]:
+    out: list[PointRecord] = []
+    for block in report.columns:
+        failing = np.flatnonzero(~block.passed)[:report.cap - len(out)]
+        if len(failing):
+            out += block.records(failing)
+    return out
 
 
-def _set_records(report: IdentityReport, records: list[PointRecord] | None) -> None:
-    report._records = records
+def _built_on_read(name: str, build) -> property:
+    """A property over ``_name`` that a None there defers to ``build(report)``
+    at the first read; set after the dataclass is built, so that __init__
+    keeps its ``name`` argument."""
+    attr = "_" + name
+
+    def get(report):
+        if getattr(report, attr) is None:
+            setattr(report, attr, build(report))
+        return getattr(report, attr)
+
+    return property(get, lambda report, value: setattr(report, attr, value))
 
 
-# a property set after the dataclass is built, so that __init__ keeps its
-# ``records`` argument and a None there defers the build to the first read
-IdentityReport.records = property(_get_records, _set_records)
+IdentityReport.records = _built_on_read(
+    "records", lambda report: [rec for block in report.columns for rec in block.records()])
+IdentityReport.counterexamples = _built_on_read("counterexamples", _first_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -631,27 +656,29 @@ def _sweep_task(args: tuple[str, int, int]) -> tuple[str, int, FieldColumns | No
 def _assemble(ident: Identity, per_q: dict[int, FieldColumns | None],
               q_order: list[int], cap: int) -> IdentityReport:
     columns = tuple(per_q[q] for q in q_order if per_q.get(q) is not None)
-    counterexamples: list[PointRecord] = []
-    failures = 0
-    for block in columns:
-        failing = np.flatnonzero(~block.passed)
-        failures += len(failing)
-        if len(failing) and len(counterexamples) < cap:
-            counterexamples += block.records(failing[:cap - len(counterexamples)])
+    failures = sum(int((~block.passed).sum()) for block in columns)
     return IdentityReport(
         identity=ident.key, provenance=ident.provenance,
         domain=f"{ident.domain_description}; q in {q_order}",
         records=None,
-        counterexamples=counterexamples,
+        counterexamples=None,
         truncated=failures > cap,
         columns=columns,
+        failures=failures,
+        cap=cap,
     )
+
+
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"counterexample cap must be >= 0, got {cap}")
 
 
 def audit_identity(key: str, q_values: Iterable[int], *,
                    cap: int = COUNTEREXAMPLE_CAP) -> IdentityReport:
     """Evaluate one identity exactly at every point of its domain over the
     given prime powers."""
+    _check_cap(cap)
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
     by_q = {p ** r: (p, r) for p, r in capped_prime_powers(max(q_order, default=0))}
@@ -669,6 +696,7 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
     (identity, q) grid out over processes, at most one per core and per
     task; output is independent of the schedule because records are
     reassembled in sorted order."""
+    _check_cap(cap)
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
@@ -699,15 +727,17 @@ _CSV_COLUMNS = ("identity", "q", "a", "b", "lambda", "lhs", "rhs", "residual", "
 _PARAM_COLUMNS = _CSV_COLUMNS[2:5]     # every identity's param_names keep this order
 
 
-def _point_lines(block: FieldColumns, template: str, identity: str) -> Iterable[str]:
-    """``template`` filled with the identity, q, the parameters, the
-    numerator and denominator of each reduced side and the pass flag, row
-    by row."""
-    n = len(block.params)
-    sides = [part for c in (block.lhs, block.rhs, block.residual) for part in c.reduced()]
+def _point_lines(block: FieldColumns, template: str) -> Iterable[str]:
+    """``template`` filled with the parameters, each side in lowest terms
+    and the pass flag, row by row."""
+    sides = [c.strings() for c in (block.lhs, block.rhs, block.residual)]
     passed = np.where(block.passed, "true", "false").tolist()
-    return map(template.format, repeat(identity, n), repeat(block.q, n),
-               *block.params.T.tolist(), *sides, passed)
+    return map(template.format, *block.params.T.tolist(), *sides, passed)
+
+
+def _literal(text: str) -> str:
+    """``text`` as a literal part of a format template."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
 def _csv_line(cells) -> str:
@@ -723,7 +753,7 @@ def _summary_row(report: IdentityReport) -> dict:
         "provenance": report.provenance,
         "status": report.status,
         "points": sum(len(block.params) for block in report.columns),
-        "failures": sum(int((~block.passed).sum()) for block in report.columns),
+        "failures": report.failures,
         "truncated": report.truncated,
     }
 
@@ -735,23 +765,24 @@ def emit(reports: list[IdentityReport], format: str = "json") -> bytes:
     if format == "json":
         rows = []
         for rep in reports:
+            key = _literal(json.dumps(rep.identity))
             for block in rep.columns:
-                template = ('{{"identity":{},"q":{}'
+                template = (f'{{{{"identity":{key},"q":{block.q}'
                             + "".join(f",{json.dumps(name)}:{{}}" for name in block.param_names)
-                            + ',"lhs":"{}/{}","rhs":"{}/{}","residual":"{}/{}","pass":{}}}')
-                rows.extend(_point_lines(block, template, json.dumps(rep.identity)))
+                            + ',"lhs":"{}","rhs":"{}","residual":"{}","pass":{}}}')
+                rows.extend(_point_lines(block, template))
             rows.append(json.dumps(_summary_row(rep), separators=(",", ":")))
         return ("[" + ",".join(rows) + "]\n").encode()
     if format == "csv":
         lines = [_csv_line(_CSV_COLUMNS)]
         for rep in reports:
-            key_cell = _csv_line([rep.identity]).removesuffix("\r\n")
+            key = _literal(_csv_line([rep.identity]).removesuffix("\r\n"))
             for block in rep.columns:
-                template = ("{},{}"
+                template = (f"{key},{block.q}"
                             + "".join(",{}" if name in block.param_names else ","
                                       for name in _PARAM_COLUMNS)
-                            + ",{}/{},{}/{},{}/{},{}\r\n")
-                lines.extend(_point_lines(block, template, key_cell))
+                            + ",{},{},{},{}\r\n")
+                lines.extend(_point_lines(block, template))
             lines.append(_csv_line([rep.identity, "", "", "", "", "", "", "",
                                     "true" if rep.passed else "false"]))
         return "".join(lines).encode()

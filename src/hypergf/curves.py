@@ -20,8 +20,10 @@ parameters: an affine pair lies on every curve of the family, on none,
 or fixes the parameter (for general Huff, b for each a), so every pair
 is still visited and the solved parameters are bincounted.  General
 Huff, Weierstrass and the quartic route cost O(q**3) for the whole
-(a, b) family, Huff and Edwards O(q**2); tables are built row by row
-over a, so no build holds more than O(q**2) elements at once.
+(a, b) family, Huff and Edwards O(q**2).  The three O(q**3) tables
+are broadcast over blocks of consecutive a, each block within
+``ff.BLOCK_CELLS`` int64 cells (or one a, when one row alone is larger),
+so no build holds more than O(max(q**2, BLOCK_CELLS)) elements at once.
 
 Also here: the rational maps between the general Huff model and the
 Weierstrass model v**2 = u(u+a)(u+b), applied pointwise with their
@@ -35,7 +37,7 @@ from functools import wraps
 
 import numpy as np
 
-from .ff import FieldContext, NumpyTables, numpy_tables
+from .ff import BLOCK_CELLS, FieldContext, NumpyTables, numpy_tables
 
 
 class ParameterError(ValueError):
@@ -210,6 +212,17 @@ def _per_field(build):
     return family
 
 
+def _rows_over_a(q: int, cells: int, rows) -> np.ndarray:
+    """A (q, q) table whose rows a >= 1 are ``rows(a)`` for an array of
+    consecutive a's, ``cells`` int64 cells per a; each block of a's stays
+    within ``BLOCK_CELLS`` cells, or is one a.  Row 0 is left unset."""
+    table = np.empty((q, q), dtype=np.int64)
+    step = max(1, BLOCK_CELLS // cells)
+    for lo in range(1, q, step):
+        table[lo:lo + step] = rows(np.arange(lo, min(lo + step, q)))
+    return table
+
+
 def _excluded_ab(table: np.ndarray, bad_pair: np.ndarray) -> np.ndarray:
     """-1 where a = 0, b = 0 or ``bad_pair[a, b]``."""
     table[bad_pair] = -1
@@ -228,13 +241,15 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
     nz = np.arange(1, q)
     x, y = nz[:, None], nz[None, :]
     inv_x2y = t.vinv(t.vmul(t.sq[x], y))
-    slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y)           # y/x
-    offset = t.vmul(t.vsub(x, y), inv_x2y)                # (x-y)/(x^2 y)
-    table = np.empty((q, q), dtype=np.int64)
-    for a in range(1, q):
-        b = t.vsub(t.vmul(a, slope), offset)
-        table[a] = 1 + 3 + np.bincount(b.ravel(), minlength=q)
-    return _excluded_ab(table, np.eye(q, dtype=bool))
+    slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y).ravel()   # y/x
+    offset = t.vmul(t.vsub(x, y), inv_x2y).ravel()        # (x-y)/(x^2 y)
+
+    def rows(a):
+        # b at [a, (x, y)], bincounted per a as one histogram of a-row q + b
+        b = t.vsub(t.vmul(a[:, None], slope), offset)
+        at = np.arange(len(a))[:, None] * q + b
+        return 1 + 3 + np.bincount(at.ravel(), minlength=len(a) * q).reshape(-1, q)
+    return _excluded_ab(_rows_over_a(q, len(slope), rows), np.eye(q, dtype=bool))
 
 
 @_per_field
@@ -281,11 +296,11 @@ def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     q = ctx.q
     codes = np.arange(q)
     x_plus_b = t.vadd(codes[:, None], codes[None, :])     # [x, b]
-    table = np.empty((q, q), dtype=np.int64)
-    for a in range(1, q):
-        fx = t.vmul(t.vmul(codes, t.vadd(codes, a))[:, None], x_plus_b)
-        table[a] = 1 + t.nsqrt[fx].sum(axis=0)
-    return _excluded_ab(table, np.eye(q, dtype=bool))
+
+    def rows(a):
+        left = t.vmul(codes, t.vadd(codes, a[:, None]))       # x(x+a) at [a, x]
+        return 1 + t.nsqrt[t.vmul(left[:, :, None], x_plus_b)].sum(axis=1)
+    return _excluded_ab(_rows_over_a(q, q * q, rows), np.eye(q, dtype=bool))
 
 
 @_per_field
@@ -301,11 +316,12 @@ def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
     rest = t.vadd(t.vsub(t.vmul(t.sq[None, :], t.vmul(x2, x2)), t.vmul(two_b, x2)),
                   ctx.one)
     four = ctx.element(4)
-    table = np.empty((q, q), dtype=np.int64)
-    for a in range(1, q):
-        val = t.vadd(rest, t.vmul(ctx.mul(four, a), x2))
-        table[a] = q + 3 + t.phi[val].sum(axis=0)
-    return _excluded_ab(table, np.eye(q, dtype=bool))
+
+    def rows(a):
+        # rest + 4a x^2 at [a, x, b]
+        four_a_x2 = t.vmul(t.vmul(four, a)[:, None, None], x2)
+        return q + 3 + t.phi[t.vadd(rest, four_a_x2)].sum(axis=1)
+    return _excluded_ab(_rows_over_a(q, rest.size, rows), np.eye(q, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ import numpy as np
 
 DEFAULT_Q_CAP = 1 << 16
 Q_CAP_ENV_VAR = "HYPERGF_Q_CAP"
+# kernels that broadcast over a block of rows (generic series rows, curve
+# families over a) keep each block within this many int64 cells
+BLOCK_CELLS = 2 ** 20
 
 
 class FieldError(ValueError):
@@ -208,7 +211,7 @@ class FieldContext:
 
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector (c_0, ..., c_{r-1}) of the element code x."""
-        return tuple(_digits(x, self._pow_weights))
+        return tuple(_digits(self.check_code(x), self._pow_weights))
 
     def from_coeffs(self, coeffs) -> int:
         cs = [c % self.p for c in coeffs]
@@ -225,7 +228,8 @@ class FieldContext:
         """All q element codes in canonical (lexicographic) order."""
         return list(range(self.q))
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: operands pass check_code (through coeffs for the
+    #    additive ones), since -1 would index the arrays' last code
 
     def add(self, a: int, b: int) -> int:
         return self.from_coeffs([ca + cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
@@ -237,12 +241,12 @@ class FieldContext:
         return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
+        if 0 in (self.check_code(a), self.check_code(b)):
             return 0
         return self.exp.item((self.log.item(a) + self.log.item(b)) % (self.q - 1))
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.check_code(a) == 0:
             raise ZeroDivisionError("inverse of zero in finite field")
         return self.exp.item(-self.log.item(a) % (self.q - 1))
 
@@ -250,7 +254,7 @@ class FieldContext:
         """a**e by square-and-multiply, e >= 0."""
         if e < 0:
             raise ValueError("pow expects a nonnegative exponent")
-        return _power(self.mul, self.one, a, e)
+        return _power(self.mul, self.one, self.check_code(a), e)
 
     def dlog(self, x: int) -> int:
         """Discrete log base gen; defined for nonzero x only."""
@@ -350,17 +354,29 @@ class NumpyTables:
     """Vectorized views of one field: the context's own log/exp arrays
     (``log_[0]`` is 0 and must always be masked), negation, squares, the
     number-of-square-roots table, quadratic-character values, and the
-    codes of 1-x."""
+    codes of 1-x.
 
-    __slots__ = ("q", "n", "log_", "exp_", "neg_", "sq", "nsqrt", "phi",
-                 "one_minus", "digits", "weights", "p")
+    Products go through one padded table, read-only like the store it is
+    derived from: ``mlog`` is ``log_`` with code 0 sent to 2n-1, and
+    ``mexp`` is ``exp_`` repeated to length 2n-1 followed by 2n zeros, so
+    ``mexp[mlog[a] + mlog[b]]`` is a*b for every pair of codes, zeros
+    included, with no reduction mod n and no mask."""
+
+    __slots__ = ("q", "n", "log_", "exp_", "mlog", "mexp", "neg_", "sq", "nsqrt",
+                 "phi", "one_minus", "digits", "weights", "p")
 
     def __init__(self, ctx: FieldContext):
         q, p = ctx.q, ctx.p
         self.q, self.p = q, p
-        self.n = q - 1
+        n = self.n = q - 1
         self.log_ = ctx.log
         self.exp_ = ctx.exp
+        # a log sum of two nonzero codes is at most 2n-2; one with a zero
+        # factor lands in [2n-1, 4n-2], where mexp holds zeros
+        self.mlog = ctx.log.copy()
+        self.mlog[0] = 2 * n - 1
+        self.mexp = np.concatenate([ctx.exp, ctx.exp[:n - 1], np.zeros(2 * n, np.int64)])
+        self.mlog.flags.writeable = self.mexp.flags.writeable = False
         codes = np.arange(q)
         self.digits = np.stack(_digits(codes, ctx._pow_weights), axis=1)
         self.weights = np.array(ctx._pow_weights, dtype=np.int64)
@@ -380,10 +396,7 @@ class NumpyTables:
         return out @ self.weights
 
     def vmul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        res = self.exp_[(self.log_[a] + self.log_[b]) % self.n]
-        return np.where((a == 0) | (b == 0), 0, res)
+        return self.mexp[self.mlog[a] + self.mlog[b]]
 
     def vinv(self, a):
         """1/a for nonzero codes a."""

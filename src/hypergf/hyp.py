@@ -54,14 +54,12 @@ from .chars import jacobi_vector
 # convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
 from .cyclo import convolve_cyclic
 from .cyclo import rational_from_vector
-from .ff import FieldContext, FieldError, NumpyTables, is_prime, numpy_tables
+from .ff import BLOCK_CELLS, FieldContext, FieldError, NumpyTables, is_prime, numpy_tables
 # make_field is unused here; perfbench/spans.py traces it at this binding
 from .ff import make_field
 
 # an order k >= 3 series holds the level below as a (q, q-1) int64 column
 MAX_COLUMN_CELLS = 2 ** 24
-# rows are gathered in blocks of at most this many int64 cells
-_BLOCK_CELLS = 2 ** 20
 
 
 def _check_characters(top, bottom) -> FieldContext:
@@ -162,7 +160,7 @@ def _integral_rows(t: NumpyTables, ja: int, jb: int, jc: int,
     n = t.n
     y, ey = _y_terms(t, jb, jc)
     rows = np.zeros((len(xs), n), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // len(y))
+    step = max(1, BLOCK_CELLS // len(y))
     for lo in range(0, len(xs), step):
         block = xs[lo:lo + step]
         z = t.one_minus[t.vmul(block[:, None], y[None, :])]
@@ -178,7 +176,7 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
     rolled by the exponent of A(y) conj(A)B(1-y), for each x of ``xs``."""
     y, ey = _y_terms(t, ja, jb)
     rows = np.zeros((len(xs), t.n), dtype=np.int64)
-    step = max(1, _BLOCK_CELLS // t.n)
+    step = max(1, BLOCK_CELLS // t.n)
     for lo in range(0, len(xs), step):
         block = xs[lo:lo + step]
         acc = rows[lo:lo + step]

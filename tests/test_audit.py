@@ -140,6 +140,18 @@ def test_counterexample_cap():
     assert report.truncated
     small = audit_identity("T4.1", [5], cap=3)
     assert len(small.counterexamples) == 3 and small.truncated
+    # with no room for counterexamples the identity still fails
+    none = audit_identity("T4.1", [5], cap=0)
+    assert (none.status, none.passed, none.counterexamples, none.truncated) == (
+        "FAIL", False, [], True)
+    assert json.loads(emit([none], "json"))[-1] == {
+        "identity": "T4.1", "summary": True, "provenance": "printed",
+        "status": "FAIL", "points": 12, "failures": 12, "truncated": True}
+    assert emit([none], "csv").decode().endswith("T4.1,,,,,,,,false\r\n")
+    for run in (lambda: audit_identity("T4.1", [5], cap=-1),
+                lambda: sweep(5, cap=-1)):
+        with pytest.raises(ValueError, match="cap"):
+            run()
 
 
 def test_emit_json_schema():
@@ -264,11 +276,26 @@ def test_sweep81_emit_is_pinned():
 def test_records_are_built_on_first_read():
     report = audit_identity("C4.2", [5, 7, 9, 11, 13])
     assert report._records is None                 # nothing built by the audit
+    assert report._counterexamples is None
     assert len(report.counterexamples) == 100 and report.truncated
     records = report.records
     assert report.records is records               # built once
     assert [rec for rec in records if not rec.passed][:100] == report.counterexamples
     assert len(records) == sum(len(block.params) for block in report.columns)
+
+
+def test_sweep_and_emit_build_no_records():
+    for reports in (sweep(9), sweep(9, jobs=2)):
+        emit(reports, "json")
+        emit(reports, "csv")
+        assert all(rep._records is None and rep._counterexamples is None
+                   for rep in reports)
+        assert {rep.status for rep in reports} == {"PASS", "FAIL"}
+        for rep in reports:
+            failing = [rec for block in rep.columns for rec in block.records()
+                       if not rec.passed]
+            assert rep.counterexamples == failing[:100]
+            assert rep.failures == len(failing)
 
 
 @st.composite

@@ -17,6 +17,7 @@ from hypergf import (
     count_general_huff_quartic,
     count_huff,
     count_weierstrass,
+    curves,
     map_points,
 )
 from hypergf.audit import cached_field, identity_by_key
@@ -27,7 +28,7 @@ from hypergf.curves import (
     huff_family,
     weierstrass_family,
 )
-from hypergf.ff import odd_prime_powers
+from hypergf.ff import make_field, odd_prime_powers
 
 # (family table, its per-parameter counter, the counter's parameters)
 AB_FAMILIES = [
@@ -223,6 +224,20 @@ def test_family_tables_match_counts(p, r, field):
     assert edw.shape == (q,)
     for d2 in range(q):
         assert edw[d2] == _reference(count_edwards_affine, EdwardsParams, ctx, d2), d2
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
+def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
+    # a budget of 3q^2 cells puts three a's in a block (the last one
+    # shorter at q = 9, 27); a budget of 1 puts one a in each
+    q = p ** r
+    for budget in (3 * q * q, 1):
+        monkeypatch.setattr(curves, "BLOCK_CELLS", budget)
+        ctx = make_field(p, r)                     # fresh: tables are per field
+        for family, count, params in (AB_FAMILIES[0], *AB_FAMILIES[2:]):
+            want = [[_reference(count, params, ctx, a, b) for b in range(q)]
+                    for a in range(q)]
+            assert family(ctx).tolist() == want, (family.__name__, budget)
 
 
 def test_family_tables_are_cached_and_read_only(field):

@@ -202,10 +202,18 @@ def test_one_store_read_only(field):
         assert t.log_ is ctx.log and t.exp_ is ctx.exp
         assert ctx.log.dtype == ctx.exp.dtype == np.int64
         assert (len(ctx.exp), len(ctx.log), ctx.log[0]) == (ctx.q - 1, ctx.q, 0)
-        for arr in (ctx.exp, ctx.log):
+        for arr in (ctx.exp, ctx.log, t.mlog, t.mexp):
             with pytest.raises(ValueError):
                 arr[1] = 0
         assert type(ctx.mul(2, 3)) is int and type(ctx.dlog(2)) is int
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3)])
+def test_vmul_equals_scalar_mul_on_every_pair(p, r, field):
+    ctx = field(p, r)
+    codes = np.arange(ctx.q)
+    got = numpy_tables(ctx).vmul(codes[:, None], codes[None, :])
+    assert got.tolist() == [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
@@ -216,6 +224,13 @@ def test_codes_outside_the_field_are_refused(p, r, field):
             ctx.check_code(x)
         with pytest.raises(ValueError, match="not an element code"):
             ctx.dlog(x)
+        for op in (ctx.add, ctx.sub, ctx.mul):
+            for args in ((x, 0), (0, x), (x, 1), (1, x)):
+                with pytest.raises(ValueError, match="not an element code"):
+                    op(*args)
+        for op in (ctx.neg, ctx.inv, ctx.coeffs, lambda a: ctx.pow(a, 0)):
+            with pytest.raises(ValueError, match="not an element code"):
+                op(x)
 
 
 def test_generator_is_part_of_a_fields_identity(field):
