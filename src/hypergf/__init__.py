@@ -23,7 +23,6 @@ from .chars import (
     binomial_symbol,
     delta_char,
     delta_point,
-    eval_char,
     jacobi_sum,
     phi_at_minus_one,
     quadratic_character,
@@ -99,7 +98,6 @@ __all__ = [
     "delta_char",
     "delta_point",
     "emit",
-    "eval_char",
     "hyp_eval",
     "identity_by_key",
     "jacobi_sum",

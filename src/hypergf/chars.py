@@ -12,7 +12,8 @@ Two layers live here.  The object layer (:class:`Character`,
 :class:`~hypergf.cyclo.GroupRingElement` values.  The integer-vector
 layer (``jacobi_vector``, ``scaled_binomial_vector``) underlies the
 object layer: it accumulates raw counts with no canonicalization
-inside the loops.
+inside the loops.  Its kernel :func:`jacobi_terms` also gives the
+series recursion in :mod:`hypergf.hyp` its Jacobi-type terms.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclo import GroupRingElement
-from .ff import FieldContext, numpy_tables
+from .ff import FieldContext, NumpyTables, numpy_tables
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,22 @@ def phi_at_minus_one(ctx: FieldContext) -> int:
 # integer-vector kernel
 # ---------------------------------------------------------------------------
 
+def jacobi_terms(t: NumpyTables, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x off {0, 1} and the exponent of chi_ja(x) chi_jb(1-x) at each:
+    the nonvanishing terms of J(chi_ja, chi_jb)."""
+    codes = np.arange(t.q)
+    x = codes[(codes != 0) & (t.one_minus != 0)]
+    return x, (ja * t.log_[x] + jb * t.log_[t.one_minus[x]]) % t.n
+
+
 def jacobi_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
     """Raw integer vector of J(chi_ja, chi_jb) = sum_x chi_ja(x) chi_jb(1-x).
 
     Entry m counts the x with chi_ja(x) chi_jb(1-x) = zeta**m; terms where
     either factor vanishes contribute nothing.
     """
-    n = ctx.q - 1
-    t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    omx = t.one_minus
-    valid = (codes != 0) & (omx != 0)
-    idx = (ja * t.log_[codes[valid]] + jb * t.log_[omx[valid]]) % n
-    return np.bincount(idx, minlength=n).tolist()
+    _, idx = jacobi_terms(numpy_tables(ctx), ja, jb)
+    return np.bincount(idx, minlength=ctx.q - 1).tolist()
 
 
 def scaled_binomial_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
@@ -135,7 +139,7 @@ def same_field(*chars: Character) -> FieldContext:
 def jacobi_sum(a: Character, b: Character) -> GroupRingElement:
     """J(A, B) = sum over x in F_q of A(x) B(1-x), exact."""
     ctx = same_field(a, b)
-    return GroupRingElement.from_int_vector(ctx.q - 1, jacobi_vector(ctx, a.j, b.j))
+    return GroupRingElement(ctx.q - 1, jacobi_vector(ctx, a.j, b.j))
 
 
 def binomial_symbol(a: Character, b: Character) -> GroupRingElement:
@@ -143,9 +147,4 @@ def binomial_symbol(a: Character, b: Character) -> GroupRingElement:
     integer."""
     ctx = same_field(a, b)
     vec = scaled_binomial_vector(ctx, a.j, b.j)
-    return GroupRingElement.from_int_vector(ctx.q - 1, vec, denominator=ctx.q)
-
-
-def eval_char(chi: Character, x: int) -> GroupRingElement:
-    """chi(x) with the chi(0) = 0 convention (alias of Character.__call__)."""
-    return chi(x)
+    return GroupRingElement(ctx.q - 1, vec, denominator=ctx.q)

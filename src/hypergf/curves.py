@@ -267,7 +267,9 @@ def huff_family(ctx: FieldContext) -> np.ndarray:
     every = int(((big_a == 0) & (big_b == 0)).sum())
     solved = (big_a != 0) & (big_b != 0)
     hist = np.bincount(t.vmul(big_a[solved], t.vinv(big_b[solved])), minlength=q)
-    table = 3 + every + hist[t.vmul(codes[None, :], t.vinv(codes)[:, None])]
+    inv_a = np.zeros(q, dtype=np.int64)   # row a = 0 is excluded below
+    inv_a[1:] = t.vinv(codes[1:])
+    table = 3 + every + hist[t.vmul(codes[None, :], inv_a[:, None])]
     return _excluded_ab(table, t.sq[:, None] == t.sq[None, :])
 
 

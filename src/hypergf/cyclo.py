@@ -1,11 +1,12 @@
 """Exact arithmetic with sums of n-th roots of unity.
 
-Values live in the rational group ring over Z_n: a vector of n exact
-rationals, entry m multiplying zeta**m for zeta = exp(2*pi*i/n).  Raw
-vectors are not unique representatives; semantic equality means equal
-remainders modulo the n-th cyclotomic polynomial.  Canonicalization is
-paid only at comparison/extraction points, so bulk accumulation stays
-integer vector arithmetic.
+Values live in the rational group ring over Z_n: a vector of n
+integers over one positive denominator, entry m multiplying zeta**m for
+zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives;
+semantic equality means equal remainders modulo the n-th cyclotomic
+polynomial.  Canonicalization is paid only at comparison/extraction
+points, so products are integer cyclic convolutions and the one
+reduction is an integer long division by the nonzero terms of Phi_n.
 
 The floating :meth:`GroupRingElement.embed` is a diagnostic cross-check
 only; every result that matters is extracted exactly.
@@ -14,9 +15,10 @@ only; every result that matters is extracted exactly.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -59,24 +61,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def reduce_mod_cyclotomic(vec, n: int) -> tuple:
-    """Remainder of sum(vec[m] * x**m) modulo Phi_n, as a tuple of length
-    phi(n).  Works unchanged for int or Fraction coefficients since
-    Phi_n is monic."""
+def reduce_mod_cyclotomic(vec, n: int) -> tuple[int, ...]:
+    """Remainder of sum(vec[m] * x**m) modulo Phi_n, as a tuple of phi(n)
+    ints.  The entries must be integers (Python or numpy); the long
+    division by the monic Phi_n subtracts at its nonzero terms only."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(vec)
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    work = list(map(operator.index, vec))
     for k in range(len(work) - 1, deg - 1, -1):
         c = work[k]
         if c:
-            work[k] = 0
-            for j in range(deg):
-                work[k - deg + j] -= c * phi[j]
+            base = k - deg
+            for j, pj in terms:
+                work[base + j] -= c * pj
     return tuple(work[:deg])
 
 
 def rational_from_vector(vec, n: int) -> Fraction:
-    """Exact rational value of a group-ring vector, if it has one."""
+    """Exact rational value of an integer group-ring vector, if it has one."""
     can = reduce_mod_cyclotomic(vec, n)
     if any(can[1:]):
         raise NonRationalValueError(
@@ -111,23 +114,34 @@ def convolve_cyclic(a, b, n: int) -> list[int]:
 
 
 class GroupRingElement:
-    """An exact element of the rational group ring over Z_n.
+    """An exact element of the rational group ring over Z_n: integer
+    coefficients ``num`` of zeta**0 .. zeta**(n-1) over one positive
+    denominator ``den``, in lowest terms.
 
     Supports +, -, scalar and ring multiplication; equality and hashing
     go through the canonical form, so two raw vectors representing the
     same algebraic number compare equal.
     """
 
-    __slots__ = ("n", "coeffs", "_canonical")
+    __slots__ = ("n", "num", "den", "_canonical")
 
-    def __init__(self, n: int, coeffs):
+    def __init__(self, n: int, coeffs, denominator: int = 1):
+        """The element sum(coeffs[m] * zeta**m) / denominator; the
+        coefficients are ints or rationals."""
         if n < 1:
             raise ValueError("group ring modulus must be >= 1")
-        cs = tuple(Fraction(c) for c in coeffs)
-        if len(cs) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(cs)}")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+        if denominator == 0:
+            raise ZeroDivisionError("group-ring element over denominator 0")
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [int(c.numerator) * (den // c.denominator) for c in coeffs]
+        den *= denominator
+        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
         self.n = n
-        self.coeffs = cs
+        self.num = tuple(c // g for c in num)
+        self.den = den // g
         self._canonical = None
 
     # -- constructors -------------------------------------------------------
@@ -145,13 +159,7 @@ class GroupRingElement:
 
     @classmethod
     def constant(cls, n: int, value) -> GroupRingElement:
-        coeffs = [Fraction(0)] * n
-        coeffs[0] = Fraction(value)
-        return cls(n, coeffs)
-
-    @classmethod
-    def from_int_vector(cls, n: int, vec, denominator: int = 1) -> GroupRingElement:
-        return cls(n, [Fraction(c, denominator) for c in vec])
+        return cls(n, [value] + [0] * (n - 1))
 
     # -- ring operations ----------------------------------------------------
 
@@ -163,32 +171,29 @@ class GroupRingElement:
         if not isinstance(other, GroupRingElement):
             return NotImplemented
         self._check(other)
-        return GroupRingElement(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        return GroupRingElement(self.n, [sa * a + sb * b for a, b in zip(self.num, other.num)],
+                                den)
 
     def __sub__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        self._check(other)
-        return GroupRingElement(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return GroupRingElement(self.n, [-a for a in self.coeffs])
+        return GroupRingElement(self.n, [-a for a in self.num], self.den)
 
     def scale(self, s) -> GroupRingElement:
         s = Fraction(s)
-        return GroupRingElement(self.n, [s * a for a in self.coeffs])
+        return GroupRingElement(self.n, [s.numerator * a for a in self.num],
+                                s.denominator * self.den)
 
     def __mul__(self, other):
         if isinstance(other, GroupRingElement):
             self._check(other)
-            n = self.n
-            out = [Fraction(0)] * n
-            for i, ai in enumerate(self.coeffs):
-                if ai:
-                    for j, bj in enumerate(other.coeffs):
-                        if bj:
-                            out[(i + j) % n] += ai * bj
-            return GroupRingElement(n, out)
+            return GroupRingElement(self.n, convolve_cyclic(self.num, other.num, self.n),
+                                    self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -204,7 +209,7 @@ class GroupRingElement:
         """Canonical form: remainder mod Phi_n, a tuple of phi(n) rationals."""
         if self._canonical is None:
             self._canonical = tuple(
-                Fraction(c) for c in reduce_mod_cyclotomic(self.coeffs, self.n))
+                Fraction(c, self.den) for c in reduce_mod_cyclotomic(self.num, self.n))
         return self._canonical
 
     def is_zero(self) -> bool:
@@ -213,18 +218,14 @@ class GroupRingElement:
     def to_rational(self) -> Fraction:
         """The exact rational value; raises NonRationalValueError if the
         canonical form is not constant."""
-        can = self.canonical()
-        if any(can[1:]):
-            raise NonRationalValueError(
-                f"group-ring element is not rational: canonical form {can}")
-        return can[0] if can else Fraction(0)
+        return rational_from_vector(self.num, self.n) / self.den
 
     def embed(self) -> complex:
         """Complex image under zeta -> exp(2*pi*i/n), at double precision.
         Diagnostic only; never a source of truth."""
         return sum(
-            float(c) * cmath.exp(2j * cmath.pi * m / self.n)
-            for m, c in enumerate(self.coeffs) if c
+            c / self.den * cmath.exp(2j * cmath.pi * m / self.n)
+            for m, c in enumerate(self.num) if c
         )
 
     # -- comparison / display -------------------------------------------------

@@ -399,7 +399,9 @@ class NumpyTables:
         return self.mexp[self.mlog[a] + self.mlog[b]]
 
     def vinv(self, a):
-        """1/a for nonzero codes a."""
+        """1/a for nonzero codes a; ZeroDivisionError if any code is 0."""
+        if not np.all(a):
+            raise ZeroDivisionError("inverse of zero in finite field")
         return self.exp_[(-self.log_[a]) % self.n]
 
 

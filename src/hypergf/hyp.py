@@ -48,7 +48,8 @@ from math import isqrt
 
 import numpy as np
 
-from .chars import Character, char_sign_at_minus_one, phi_at_minus_one, same_field
+from .chars import (Character, char_sign_at_minus_one, jacobi_terms, phi_at_minus_one,
+                    same_field)
 # jacobi_vector is unused here; perfbench/spans.py traces it at this binding
 from .chars import jacobi_vector
 # convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
@@ -146,19 +147,12 @@ def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],
     return rows
 
 
-def _y_terms(t: NumpyTables, ja: int, jb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The y off {0, 1} and the exponent of A(y) conj(A)B(1-y) at each."""
-    codes = np.arange(t.q)
-    y = codes[(codes != 0) & (t.one_minus != 0)]
-    return y, (ja * t.log_[y] + (jb - ja) * t.log_[t.one_minus[y]]) % t.n
-
-
 def _integral_rows(t: NumpyTables, ja: int, jb: int, jc: int,
                    xs: np.ndarray) -> np.ndarray:
     """q 2F1(A, B; C | x) for each x of ``xs`` by the integral form: one
     bincount of zeta-exponents over the y with 1-xy != 0."""
     n = t.n
-    y, ey = _y_terms(t, jb, jc)
+    y, ey = jacobi_terms(t, jb, jc - jb)   # B(y) conj(B)C(1-y)
     rows = np.zeros((len(xs), n), dtype=np.int64)
     step = max(1, BLOCK_CELLS // len(y))
     for lo in range(0, len(xs), step):
@@ -174,7 +168,7 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
                     xs: np.ndarray) -> np.ndarray:
     """Sum over y of the rows of ``below`` (one per code) at xy, each
     rolled by the exponent of A(y) conj(A)B(1-y), for each x of ``xs``."""
-    y, ey = _y_terms(t, ja, jb)
+    y, ey = jacobi_terms(t, ja, jb - ja)   # A(y) conj(A)B(1-y)
     rows = np.zeros((len(xs), t.n), dtype=np.int64)
     step = max(1, BLOCK_CELLS // t.n)
     for lo in range(0, len(xs), step):

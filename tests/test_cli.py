@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,43 @@ def test_evalnfn(capsys):
     code, out, _ = _run(capsys, "evalnfn", "--p", "5", "--top", "2,2",
                         "--bottom", "0", "--x", "-1")
     assert json.loads(out)["value"] == "2/5"
+
+
+@pytest.mark.parametrize("p,r,ja,jb,digest", [
+    (13, 1, 1, 1, "e95b3d9051dd826f5148e6ab38d85ad3c6226c07cd0102a1860f3d69b1385924"),
+    (13, 1, 3, 7, "fb717dd95ecf38e5f061126f299d71cd4facfc3155f336f206f72e47aaa2e368"),
+    (3, 2, 1, 1, "cfb9f56e8b0f034ac2373ac789093f6f4aa236906620816002cdb0e6f2aa564b"),
+    (3, 2, 2, 5, "8b5fc0c530c2b8820ab31b0d51f184ce449351820115561470bd6b6fddd23079"),
+    (1009, 1, 1, 1, "80029874585c041e6db6c2652b16a66eab84de500a8986fd204c8d0bd345a86c"),
+    (1009, 1, 5, 300, "a0fdb6001550b9b2b479c59fd18ed0d2abc597cda141dcd45b087a39d9a0af8b"),
+    (4093, 1, 1, 1, "3154137e35af9d80b3ad37688842faecdf724ac3e55f66feef40da9d3b821c02"),
+])
+def test_charsum_output_is_pinned(capsys, p, r, ja, jb, digest):
+    # polynomials and float embeddings, byte for byte
+    code, out, _ = _run(capsys, "charsum", "--p", str(p), "--r", str(r),
+                        "--ja", str(ja), "--jb", str(jb))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,want", [
+    ("--p 5 --top 2,2 --bottom 0 --x -1",
+     '{"q":5,"top":[2,2],"bottom":[0],"x":4,"value":"2/5","decimal":0.4}'),
+    ("--p 13 --top 6,6,6 --bottom 0,0 --x 3",
+     '{"q":13,"top":[6,6,6],"bottom":[0,0],"x":3,"value":"-3/169",'
+     '"decimal":-0.01775147928994083}'),
+    ("--p 3 --r 2 --top 4,4 --bottom 0 --x 2",
+     '{"q":9,"top":[4,4],"bottom":[0],"x":[2,0],"value":"2/3","decimal":0.6666666666666666}'),
+    ("--p 1009 --top 504,0 --bottom 504 --x 5",
+     '{"q":1009,"top":[504,0],"bottom":[504],"x":5,"value":"-2/1009",'
+     '"decimal":-0.0019821605550049554}'),
+    ("--p 4093 --top 2046,2046 --bottom 0 --x -1",
+     '{"q":4093,"top":[2046,2046],"bottom":[0],"x":4092,"value":"-54/4093",'
+     '"decimal":-0.013193256779868068}'),
+])
+def test_evalnfn_output_is_pinned(capsys, argv, want):
+    code, out, _ = _run(capsys, "evalnfn", *argv.split())
+    assert (code, out) == (0, want + "\n")
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypergf import GroupRingElement, NonRationalValueError, cyclotomic_polynomial
@@ -102,6 +103,49 @@ def test_ring_laws_on_random_triples(n):
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _dense_reduce(vec, n):
+    # the long division over every coefficient of Phi_n, zeros included
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    work = list(vec)
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            work[k] = 0
+            for j in range(deg):
+                work[k - deg + j] -= c * phi[j]
+    return tuple(work[:deg])
+
+
+@pytest.mark.parametrize("ns", [range(1, 400), (1008, 4092)])
+def test_reduction_matches_the_dense_division(ns):
+    rng = random.Random(20240 + len(ns))
+    for n in ns:
+        # small entries mixed with entries beyond int64
+        vec = [rng.randint(-b, b) for b in rng.choices((3, 1 << 70), k=n)]
+        assert reduce_mod_cyclotomic(vec, n) == _dense_reduce(vec, n), n
+
+
+def test_reduction_takes_integer_vectors_only():
+    assert reduce_mod_cyclotomic(np.array([1, 2, 3, 4], dtype=np.int64), 4) == (-2, -2)
+    with pytest.raises(TypeError):
+        reduce_mod_cyclotomic([Fraction(1, 2), 0, 0, 0], 4)
+
+
+def test_one_denominator_in_lowest_terms():
+    half = GroupRingElement(4, (Fraction(1, 2), Fraction(3, 4), 0, 1))
+    assert (half.num, half.den) == ((2, 3, 0, 4), 4)
+    assert GroupRingElement(4, (6, 0, -4, 2), denominator=-8) == GroupRingElement(
+        4, (Fraction(-3, 4), 0, Fraction(1, 2), Fraction(-1, 4)))
+    third = GroupRingElement(4, (6, 0, -4, 2), denominator=-9)
+    assert (third.num, third.den) == ((-6, 0, 4, -2), 9)
+    assert (GroupRingElement.zero(4).num, GroupRingElement.zero(4).den) == ((0,) * 4, 1)
+    product = half * GroupRingElement(4, (2, 0, 0, 0), denominator=3)
+    assert product.den == 6 and product == half.scale(Fraction(2, 3))
+    with pytest.raises(ZeroDivisionError):
+        GroupRingElement(4, (1, 0, 0, 0), denominator=0)
 
 
 def test_reduce_and_rational_kernel():

@@ -216,6 +216,19 @@ def test_vmul_equals_scalar_mul_on_every_pair(p, r, field):
     assert got.tolist() == [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
 
 
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
+def test_vinv_equals_scalar_inv_and_refuses_zero(p, r, field):
+    ctx = field(p, r)
+    t = numpy_tables(ctx)
+    nonzero = np.arange(1, ctx.q)
+    assert t.vinv(nonzero).tolist() == [ctx.inv(a) for a in range(1, ctx.q)]
+    for zero in (0, np.int64(0), np.arange(ctx.q), nonzero[None, :] - 1):
+        with pytest.raises(ZeroDivisionError):
+            t.vinv(zero)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
 def test_codes_outside_the_field_are_refused(p, r, field):
     ctx = field(p, r)

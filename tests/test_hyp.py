@@ -20,6 +20,7 @@ from hypergf import (
     jacobi_sum,
     make_field,
     ono_value_minus1,
+    phi_at_minus_one,
     quadratic_character,
     trivial_character,
     two_f_one,
@@ -58,6 +59,13 @@ def test_value_at_zero_and_one(field):
     assert hyp_eval(_phi_phi_eps(ctx, 0)) == 0
     # 1 is evaluated like any other argument, not special-cased
     assert two_f_one(ctx, 1) == Fraction(-1, 5)
+
+
+def test_value_at_one_is_the_closed_form(field):
+    # F(1) = phi(-1)/q * sum over y of phi(y) phi(1-y)^2 = -phi(-1)/q
+    for p, r in odd_prime_powers(1000) + [(4093, 1), (65521, 1), (3, 10)]:
+        ctx = field(p, r)
+        assert two_f_one(ctx, ctx.one) == Fraction(-phi_at_minus_one(ctx), ctx.q), (p, r)
 
 
 @pytest.mark.parametrize("p,r", odd_prime_powers(49))
