@@ -13,6 +13,7 @@ from .audit import (
     PointRecord,
     audit_identity,
     emit,
+    emit_chunks,
     identity_by_key,
     registry,
     sweep,
@@ -98,6 +99,7 @@ __all__ = [
     "delta_char",
     "delta_point",
     "emit",
+    "emit_chunks",
     "hyp_eval",
     "identity_by_key",
     "jacobi_sum",

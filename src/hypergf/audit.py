@@ -29,9 +29,10 @@ numerators over that denominator.  It reads the per-field family tables
 of :mod:`hypergf.curves`, the field's :class:`NumpyTables` and one
 per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
 and pass flags are integer column arithmetic, and a report's status
-comes from its count of failing rows.  :func:`emit` renders rows straight
-from the columns, and ``Fraction`` appears only in the ``PointRecord``s a
-report builds when its ``records`` or ``counterexamples`` are first read.
+comes from its count of failing rows.  :func:`emit_chunks` renders rows
+straight from the columns, one byte chunk per (identity, field) block, and
+``Fraction`` appears only in the ``PointRecord``s a report builds when its
+``records`` or ``counterexamples`` are first read.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -68,23 +69,25 @@ class Column:
 
     def fractions(self) -> list[Fraction]:
         """Every entry as a Fraction, one object per distinct numerator."""
-        return self._per_distinct(lambda nums: [Fraction(n, self.den) for n in nums])
+        return self._per_distinct(lambda nums: [Fraction(n, self.den) for n in nums]).tolist()
 
-    def strings(self) -> list[str]:
-        """Every entry as "num/den" in lowest terms, as Fraction keeps it,
-        one string per distinct numerator."""
+    def labelled(self, gap: str) -> np.ndarray:
+        """Every entry as ``gap`` followed by "num/den" in lowest terms, as
+        Fraction keeps it, in an object array; one string per distinct
+        numerator."""
         def render(nums):
             g = np.gcd(nums, self.den)
-            return [f"{n}/{d}" for n, d in zip((nums // g).tolist(), (self.den // g).tolist())]
+            return [f"{gap}{n}/{d}"
+                    for n, d in zip((nums // g).tolist(), (self.den // g).tolist())]
         return self._per_distinct(render)
 
-    def _per_distinct(self, make) -> list:
+    def _per_distinct(self, make) -> np.ndarray:
         """``make(distinct numerators)``, one value per distinct numerator,
-        spread back over every entry."""
+        spread back over every entry of an object array."""
         distinct, where = np.unique(self.num, return_inverse=True)
         made = np.empty(len(distinct), dtype=object)
         made[:] = make(distinct)
-        return made[where].tolist()
+        return made[where]
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,10 @@ IdentityReport.counterexamples = _built_on_read("counterexamples", _first_failur
 # ---------------------------------------------------------------------------
 
 _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
+
+# the most cells (the sum over the fields of q**_work_degree) an audit may
+# cost: the whole registry up to q = 156 (3.15e7 cells; 157 needs 3.54e7)
+WORK_BUDGET = 2 ** 25
 
 # every numerator the evaluators form over F_q, residuals included, is
 # below 4 q^3 in absolute value (see _check_headroom); audits are refused
@@ -606,16 +613,33 @@ def identity_by_key(key: str) -> Identity:
 # sweeping
 # ---------------------------------------------------------------------------
 
-def capped_prime_powers(q_max: int) -> list[tuple[int, int]]:
+def capped_prime_powers(q_max: int,
+                        identities: Iterable[Identity] | None = None) -> list[tuple[int, int]]:
     """All (p, r) with p an odd prime and p**r <= q_max, sorted by q.
     Raises :class:`FieldError` first if q_max exceeds the field-size cap
-    that :func:`make_field` enforces, so no audit starts that would stop
-    at its largest field."""
+    that :func:`make_field` enforces, if int64 columns cannot hold the
+    audit (:func:`_check_headroom`), or if auditing ``identities`` (by
+    default the whole registry) over those fields would exceed
+    :data:`WORK_BUDGET`; so no audit starts that would stop at its
+    largest field or run without a bound."""
     limit = q_cap()
     if q_max > limit:
         raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
     _check_headroom(q_max)
-    return odd_prime_powers(q_max)
+    pairs = odd_prime_powers(q_max)
+    degree = _work_degree(registry() if identities is None else identities)
+    cells = sum((p ** r) ** degree for p, r in pairs)
+    if cells > WORK_BUDGET:
+        raise FieldError(f"an audit over q <= {q_max} needs {cells} cells (the sum of "
+                         f"q^{degree}), over the work budget of {WORK_BUDGET}")
+    return pairs
+
+
+def _work_degree(identities: Iterable[Identity]) -> int:
+    """The audit's cells per field grow as q**degree: 3 where an (a, b)
+    identity reads the O(q^3) family tables, else 2, for the q series
+    values of O(q) each behind every lambda column."""
+    return 3 if any(len(ident.param_names) == 2 for ident in identities) else 2
 
 
 def _check_headroom(q_max: int) -> None:
@@ -681,7 +705,7 @@ def audit_identity(key: str, q_values: Iterable[int], *,
     _check_cap(cap)
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
-    by_q = {p ** r: (p, r) for p, r in capped_prime_powers(max(q_order, default=0))}
+    by_q = {p ** r: (p, r) for p, r in capped_prime_powers(max(q_order, default=0), [ident])}
     for q in q_order:
         if q not in by_q:
             raise ValueError(f"{q} is not an odd prime power")
@@ -700,7 +724,7 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
-    pairs = capped_prime_powers(q_max)
+    pairs = capped_prime_powers(q_max, idents)
     qs = [p ** r for p, r in pairs]
     tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
     results: dict[tuple[str, int], FieldColumns | None] = {}
@@ -725,29 +749,56 @@ def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
 
 _CSV_COLUMNS = ("identity", "q", "a", "b", "lambda", "lhs", "rhs", "residual", "pass")
 _PARAM_COLUMNS = _CSV_COLUMNS[2:5]     # every identity's param_names keep this order
+_CRLF = "\r\n"
+
+# A record is the text of its k parameter values and its three sides, each
+# behind a fixed gap, then the pass flag with the record's closing text.
+# ``_json_gaps`` and ``_csv_gaps`` give the k + 3 gaps and the two closings
+# (failing, passing) of one (identity, field) block.
 
 
-def _point_lines(block: FieldColumns, template: str) -> Iterable[str]:
-    """``template`` filled with the parameters, each side in lowest terms
-    and the pass flag, row by row."""
-    sides = [c.strings() for c in (block.lhs, block.rhs, block.residual)]
-    passed = np.where(block.passed, "true", "false").tolist()
-    return map(template.format, *block.params.T.tolist(), *sides, passed)
+def _json_gaps(key: str, q: int, names: tuple[str, ...]):
+    text = f'{{"identity":{json.dumps(key)},"q":{q}'
+    gaps = []
+    for name in names:
+        gaps.append(f"{text},{json.dumps(name)}:")
+        text = ""
+    return (gaps + [text + ',"lhs":"', '","rhs":"', '","residual":"'],
+            ('","pass":false}', '","pass":true}'))
 
 
-def _literal(text: str) -> str:
-    """``text`` as a literal part of a format template."""
-    return text.replace("{", "{{").replace("}", "}}")
+def _csv_gaps(key: str, q: int, names: tuple[str, ...]):
+    text = f"{_csv_line([key]).removesuffix(_CRLF)},{q}"
+    gaps = []
+    for name in _PARAM_COLUMNS:
+        text += ","
+        if name in names:
+            gaps.append(text)
+            text = ""
+    return gaps + [text + ",", ",", ","], (",false" + _CRLF, ",true" + _CRLF)
+
+
+def _block_text(block: FieldColumns, gaps: list[str], closings: tuple[str, str]) -> str:
+    """Every record of the block: each piece a gather from an object array
+    of finished strings, one per parameter value or distinct numerator,
+    interleaved row by row and joined once."""
+    codes = range(block.q)
+    pieces = [np.array([f"{gap}{v}" for v in codes], dtype=object)[col]
+              for gap, col in zip(gaps, block.params.T)]
+    pieces += [side.labelled(gap) for gap, side in
+               zip(gaps[len(pieces):], (block.lhs, block.rhs, block.residual))]
+    pieces.append(np.array(closings, dtype=object)[block.passed.astype(np.intp)])
+    return "".join(np.stack(pieces, axis=1).ravel().tolist())
 
 
 def _csv_line(cells) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    csv.writer(buf, lineterminator=_CRLF).writerow(cells)
     return buf.getvalue()
 
 
-def _summary_row(report: IdentityReport) -> dict:
-    return {
+def _json_summary(report: IdentityReport) -> str:
+    return json.dumps({
         "identity": report.identity,
         "summary": True,
         "provenance": report.provenance,
@@ -755,35 +806,54 @@ def _summary_row(report: IdentityReport) -> dict:
         "points": sum(len(block.params) for block in report.columns),
         "failures": report.failures,
         "truncated": report.truncated,
-    }
+    }, separators=(",", ":"))
+
+
+def _csv_summary(report: IdentityReport) -> str:
+    return _csv_line([report.identity, "", "", "", "", "", "", "",
+                      "true" if report.passed else "false"])
+
+
+# format: opening, closing, separator between records, gaps, summary record
+_FORMATS = {
+    "json": ("[", "]\n", ",", _json_gaps, _json_summary),
+    "csv": (_csv_line(_CSV_COLUMNS), "", "", _csv_gaps, _csv_summary),
+}
+
+
+def emit_chunks(reports: list[IdentityReport], format: str = "json") -> Iterator[bytes]:
+    """:func:`emit` as a stream of byte chunks: the JSON ``[`` or the CSV
+    header, one chunk per (identity, field) block, one per summary record,
+    then the JSON ``]``.  Holds one block's text at a time."""
+    if format not in _FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    return _chunks(reports, *_FORMATS[format])
+
+
+def _chunks(reports, opening, closing, separator, gaps, summary) -> Iterator[bytes]:
+    yield opening.encode()
+    drop = len(separator)                # no separator before the first record
+    for text in _record_texts(reports, separator, gaps, summary):
+        yield text[drop:].encode()
+        drop = 0
+    if closing:
+        yield closing.encode()
+
+
+def _record_texts(reports, separator, gaps, summary) -> Iterator[str]:
+    """Each block's records, then the summary record, per report; every
+    record opens with the separator."""
+    for rep in reports:
+        for block in rep.columns:
+            if len(block.params):
+                block_gaps, closings = gaps(rep.identity, block.q, block.param_names)
+                block_gaps[0] = separator + block_gaps[0]
+                yield _block_text(block, block_gaps, closings)
+        yield separator + summary(rep)
 
 
 def emit(reports: list[IdentityReport], format: str = "json") -> bytes:
     """Serialize reports: one record per (identity, parameter point),
     rendered from the report's columns, plus one summary record per
     identity.  Rationals render in lowest terms as "num/den"."""
-    if format == "json":
-        rows = []
-        for rep in reports:
-            key = _literal(json.dumps(rep.identity))
-            for block in rep.columns:
-                template = (f'{{{{"identity":{key},"q":{block.q}'
-                            + "".join(f",{json.dumps(name)}:{{}}" for name in block.param_names)
-                            + ',"lhs":"{}","rhs":"{}","residual":"{}","pass":{}}}')
-                rows.extend(_point_lines(block, template))
-            rows.append(json.dumps(_summary_row(rep), separators=(",", ":")))
-        return ("[" + ",".join(rows) + "]\n").encode()
-    if format == "csv":
-        lines = [_csv_line(_CSV_COLUMNS)]
-        for rep in reports:
-            key = _literal(_csv_line([rep.identity]).removesuffix("\r\n"))
-            for block in rep.columns:
-                template = (f"{key},{block.q}"
-                            + "".join(",{}" if name in block.param_names else ","
-                                      for name in _PARAM_COLUMNS)
-                            + ",{},{},{},{}\r\n")
-                lines.extend(_point_lines(block, template))
-            lines.append(_csv_line([rep.identity, "", "", "", "", "", "", "",
-                                    "true" if rep.passed else "false"]))
-        return "".join(lines).encode()
-    raise ValueError(f"unknown format {format!r}")
+    return b"".join(emit_chunks(reports, format))

@@ -221,17 +221,25 @@ def _cmd_audit(args) -> int:
     if args.qmax < 3:
         raise UsageError("--qmax must be at least 3")
     if args.identity is not None:
-        qs = [p ** r for (p, r) in audit_mod.capped_prime_powers(args.qmax)]
         try:
             ident = audit_mod.identity_by_key(args.identity)
         except KeyError as exc:
             raise UsageError(str(exc)) from None
+        qs = [p ** r for (p, r) in audit_mod.capped_prime_powers(args.qmax, [ident])]
         reports = []
         if not args.provenance or ident.provenance == args.provenance:
             reports = [audit_mod.audit_identity(args.identity, qs)]
     else:
         reports = audit_mod.sweep(args.qmax, include=args.provenance, jobs=args.jobs)
-    sys.stdout.write(audit_mod.emit(reports, args.format).decode())
+    # every refusal is raised above, before the first byte is written; a
+    # stdout with no byte buffer (a StringIO in its place) takes text
+    sys.stdout.flush()
+    out = getattr(sys.stdout, "buffer", None)
+    for chunk in audit_mod.emit_chunks(reports, args.format):
+        if out is None:
+            sys.stdout.write(chunk.decode())
+        else:
+            out.write(chunk)
     return 3 if any(not rep.passed for rep in reports) else 0
 
 

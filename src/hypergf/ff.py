@@ -388,12 +388,14 @@ class NumpyTables:
         self.one_minus = self.vadd(ctx.one, self.neg_)
 
     def vadd(self, a, b):
-        out = (self.digits[a] + self.digits[b]) % self.p
-        return out @ self.weights
+        if self.q == self.p:                  # prime-field codes are residues
+            return (a + b) % self.p
+        return ((self.digits[a] + self.digits[b]) % self.p) @ self.weights
 
     def vsub(self, a, b):
-        out = (self.digits[a] - self.digits[b]) % self.p
-        return out @ self.weights
+        if self.q == self.p:
+            return (a - b) % self.p
+        return ((self.digits[a] - self.digits[b]) % self.p) @ self.weights
 
     def vmul(self, a, b):
         return self.mexp[self.mlog[a] + self.mlog[b]]

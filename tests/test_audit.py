@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _audit_referee import REFEREE
-from hypergf import FieldError, audit_identity, emit, identity_by_key, registry, sweep
+from hypergf import (FieldError, audit_identity, emit, emit_chunks, identity_by_key, registry,
+                     sweep)
 from hypergf.audit import (PROVENANCES, Column, _columns_for, _residual, _scaled,
                            cached_field, capped_prime_powers)
+from hypergf.cli import run
 from hypergf.ff import odd_prime_powers
+
+# size and SHA-256 of emit(sweep(49)) in both formats, taken from the
+# per-point Fraction evaluators that the columnar audit replaced
+SWEEP49_PINS = {
+    "json": (10_429_139, "ce1dd4401091439ab5105e24e319ada584caf2ffa9e430407c5c10dcc7c46edb"),
+    "csv": (3_905_849, "9e1f20a7ac32f098e846f3271c8231cd9158bf5795e701da8f44fd6eaa471575"),
+}
 
 
 def _record(report, **params):
@@ -253,16 +263,67 @@ def test_quoted_suites_pass_in_full_ranges():
 
 
 def test_sweep49_emit_is_pinned():
-    # SHA-256 and size of both formats, taken from the per-point Fraction
-    # evaluators that the columnar audit replaced
     reports = sweep(49)
-    for fmt, size, digest in (
-            ("json", 10_429_139,
-             "ce1dd4401091439ab5105e24e319ada584caf2ffa9e430407c5c10dcc7c46edb"),
-            ("csv", 3_905_849,
-             "9e1f20a7ac32f098e846f3271c8231cd9158bf5795e701da8f44fd6eaa471575")):
+    for fmt, (size, digest) in SWEEP49_PINS.items():
         payload = emit(reports, fmt)
         assert (len(payload), hashlib.sha256(payload).hexdigest()) == (size, digest), fmt
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_audit_streams_the_pinned_bytes(capsysbinary, fmt):
+    assert run(["audit", "--all", "--qmax", "49", "--format", fmt]) == 3
+    out = capsysbinary.readouterr().out
+    assert (len(out), hashlib.sha256(out).hexdigest()) == SWEEP49_PINS[fmt]
+
+
+def test_emit_chunks_join_to_emit():
+    no_columns = audit_identity("O-minus1", [9])         # prime-only: no field
+    assert no_columns.columns == ()
+    for reports in (sweep(13), sweep(9, jobs=2), [], [no_columns]):
+        for fmt in ("json", "csv"):
+            chunks = list(emit_chunks(reports, fmt))
+            assert b"".join(chunks) == emit(reports, fmt)
+            # the opening, one chunk per nonempty block and per summary,
+            # and the JSON closing
+            blocks = sum(1 for rep in reports for block in rep.columns if len(block.params))
+            assert len(chunks) == 1 + blocks + len(reports) + (fmt == "json")
+            assert chunks[0] == (b"[" if fmt == "json" else
+                                 b"identity,q,a,b,lambda,lhs,rhs,residual,pass\r\n")
+    # records join across chunk boundaries, whatever comes first
+    reports = sweep(5)
+    assert json.loads(emit([no_columns, *reports, no_columns], "json")) == [
+        *json.loads(emit([no_columns], "json")), *json.loads(emit(reports, "json")),
+        *json.loads(emit([no_columns], "json"))]
+    with pytest.raises(ValueError, match="format"):
+        emit_chunks([], "xml")
+
+
+def test_emit_chunks_hold_one_block_at_a_time():
+    reports = sweep(49)
+    size = 0
+    tracemalloc.start()
+    try:
+        for chunk in emit_chunks(reports, "json"):
+            size += len(chunk)
+            del chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == SWEEP49_PINS["json"][0]
+    assert peak < 2.5e6, peak                      # a quarter of the output
+
+
+def test_work_budget_edge():
+    # the whole registry reads (a, b) family tables: sum q^3 <= 2^25
+    assert capped_prime_powers(156)[-1] == (151, 1)
+    with pytest.raises(FieldError, match="budget"):
+        capped_prime_powers(157)
+    # lambda identities alone cost sum q^2 <= 2^25
+    lam = [identity_by_key("G-reflect"), identity_by_key("O-minus1")]
+    assert capped_prime_powers(852, lam)[-1] == (29, 2)
+    with pytest.raises(FieldError, match="budget"):
+        capped_prime_powers(853, lam)
+    assert capped_prime_powers(156, [identity_by_key("C1")])[-1] == (151, 1)
 
 
 def test_sweep81_emit_is_pinned():

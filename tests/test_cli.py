@@ -158,10 +158,13 @@ def test_usage_errors(capsys):
     ("20", ["audit", "--identity", "C2", "--qmax", "30"]),
     ("20", ["audit", "--all", "--qmax", "30"]),
     (str(2 ** 21), ["audit", "--all", "--qmax", str(2 ** 20 + 7)]),
+    (None, ["audit", "--all", "--qmax", "157"]),
+    (None, ["audit", "--identity", "G-reflect", "--qmax", "853"]),
     (None, ["evalnfn", "--p", "13", "--top", "2,2", "--bottom", "0", "--x", "-1"]),
     (None, ["evalnfn", "--p", "65521", "--top", "1,2,3", "--bottom", "4,5", "--x", "2"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
+        "audit-over-work-budget", "identity-over-work-budget",
         "evalnfn-not-rational", "evalnfn-order-3-column-too-large"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []

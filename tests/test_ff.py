@@ -216,6 +216,18 @@ def test_vmul_equals_scalar_mul_on_every_pair(p, r, field):
     assert got.tolist() == [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
 
 
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3)])
+def test_vadd_vsub_equal_scalar_on_every_pair(p, r, field):
+    # prime fields add residues, extensions add digit vectors
+    ctx = field(p, r)
+    t, codes = numpy_tables(ctx), np.arange(ctx.q)
+    pairs = [(a, b) for a in range(ctx.q) for b in range(ctx.q)]
+    for vop, op in ((t.vadd, ctx.add), (t.vsub, ctx.sub)):
+        assert vop(codes[:, None], codes[None, :]).ravel().tolist() == [
+            op(a, b) for a, b in pairs]
+        assert [int(vop(a, b)) for a, b in pairs] == [op(a, b) for a, b in pairs]
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
 def test_vinv_equals_scalar_inv_and_refuses_zero(p, r, field):
     ctx = field(p, r)
