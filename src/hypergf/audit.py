@@ -208,8 +208,9 @@ IdentityReport.counterexamples = _built_on_read("counterexamples", _first_failur
 
 _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 
-# the most cells (the sum over the fields of q**_work_degree) an audit may
-# cost: the whole registry up to q = 156 (3.15e7 cells; 157 needs 3.54e7)
+# the most cells (the sum over its fields of q**3 or q**2, see _check_work)
+# an audit may cost: the whole registry up to q = 156 (3.15e7 cells; 157
+# needs 3.54e7)
 WORK_BUDGET = 2 ** 25
 
 # every numerator the evaluators form over F_q, residuals included, is
@@ -622,24 +623,33 @@ def capped_prime_powers(q_max: int,
     default the whole registry) over those fields would exceed
     :data:`WORK_BUDGET`; so no audit starts that would stop at its
     largest field or run without a bound."""
+    pairs = _fields_up_to(q_max)
+    _check_work([p ** r for p, r in pairs], registry() if identities is None else identities,
+                f"q <= {q_max}")
+    return pairs
+
+
+def _fields_up_to(q_max: int) -> list[tuple[int, int]]:
+    """:func:`odd_prime_powers` up to q_max, after the field-size cap and
+    :func:`_check_headroom`."""
     limit = q_cap()
     if q_max > limit:
         raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
     _check_headroom(q_max)
-    pairs = odd_prime_powers(q_max)
-    degree = _work_degree(registry() if identities is None else identities)
-    cells = sum((p ** r) ** degree for p, r in pairs)
+    return odd_prime_powers(q_max)
+
+
+def _check_work(qs: list[int], identities: Iterable[Identity], where: str) -> None:
+    """Raise :class:`FieldError` if auditing ``identities`` over the fields
+    of ``qs`` (``where``, in the message) would exceed :data:`WORK_BUDGET`
+    cells.  A field's cells grow as q**3 where an (a, b) identity reads the
+    O(q^3) family tables, else as q**2, for the q series values of O(q)
+    each behind every lambda column."""
+    degree = 3 if any(len(ident.param_names) == 2 for ident in identities) else 2
+    cells = sum(q ** degree for q in qs)
     if cells > WORK_BUDGET:
-        raise FieldError(f"an audit over q <= {q_max} needs {cells} cells (the sum of "
+        raise FieldError(f"an audit over {where} needs {cells} cells (the sum of "
                          f"q^{degree}), over the work budget of {WORK_BUDGET}")
-    return pairs
-
-
-def _work_degree(identities: Iterable[Identity]) -> int:
-    """The audit's cells per field grow as q**degree: 3 where an (a, b)
-    identity reads the O(q^3) family tables, else 2, for the q series
-    values of O(q) each behind every lambda column."""
-    return 3 if any(len(ident.param_names) == 2 for ident in identities) else 2
 
 
 def _check_headroom(q_max: int) -> None:
@@ -705,10 +715,11 @@ def audit_identity(key: str, q_values: Iterable[int], *,
     _check_cap(cap)
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
-    by_q = {p ** r: (p, r) for p, r in capped_prime_powers(max(q_order, default=0), [ident])}
+    by_q = {p ** r: (p, r) for p, r in _fields_up_to(max(q_order, default=0))}
     for q in q_order:
         if q not in by_q:
             raise ValueError(f"{q} is not an odd prime power")
+    _check_work(q_order, [ident], f"q in {q_order}")    # the requested fields only
     per_q = {q: _columns_for(ident, *by_q[q]) for q in q_order}
     return _assemble(ident, per_q, q_order, cap)
 

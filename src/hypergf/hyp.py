@@ -32,10 +32,19 @@ The workhorse is the (phi, phi; eps) specialization
 
     F(lambda) = phi(-1)/q * sum over y of phi(y) phi(1-y) phi(1-lambda y),
 
-an integer over q.  With y = g**i, lambda = g**k and u[j] = phi(1 - g**j)
-(indices mod q-1), phi(y) phi(1-y) = (-1)**i u[i] and phi(1-lambda y) =
-u[i+k]: q F(lambda) is per-field weights dotted with the contiguous window
-u2[k : k+q-1] of u2 = (u, u), O(q) per argument, no gather and no memo.
+an integer over q.  With n = q-1, y = g**i, lambda = g**k and
+u[j] = phi(g**j - 1) (indices mod n), the factors phi(-1) of 1-y = -(y-1)
+and 1-lambda y = -(lambda y - 1) cancel: phi(y) phi(1-y) phi(1-lambda y) =
+(-1)**i u[i] u[i+k], so q F(lambda) is the sum over i of w[i] u[i+k] with
+w[i] = phi(-1) (-1)**i u[i].  Every term is +-1 but the two with a factor
+u[0] = phi(0) = 0, at i = 0 and i = n-k; so q F(g**k) = L - 2N, with L = n-1
+live terms at k = 0 and n-2 at every other k, and N the live terms equal to
+-1.  Per field, U is the sign plane of u as one Python int (bit j set iff
+u[j] = -1) and W that of w, both on bits 1..n-1.  Rotating W by k,
+((W | W << n) >> (n-k)), puts w[j-k] at bit j against u[j]: N is the
+popcount of the XOR on bits 1..n-1, less U's bit k, which meets w[0] = 0.
+That is O(q) bit operations per argument, with no numpy, no float and no
+memo per lambda; the planes come from one pass over the field's log table.
 Also here: the two-squares decomposition of a prime p = 1 mod 4
 (Hermite-Serret / Cornacchia, deterministic) and the closed form at -1.
 """
@@ -182,23 +191,49 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
 def two_f_one(ctx: FieldContext, lam: int) -> Fraction:
     """The (phi, phi; eps) hypergeometric value at lambda, exact.
 
-    Greene's sum phi(-1)/q * sum_y phi(y) phi(1-y) phi(1-lambda y) as one
-    window dot product in log coordinates (module docstring), O(q) and not
-    memoized.  The value at 0 is 0 (Greene's eps(lambda) factor), 1 is an
-    ordinary argument, and a code outside range(q) raises ValueError.
+    Greene's sum phi(-1)/q * sum_y phi(y) phi(1-y) phi(1-lambda y) as a
+    popcount over the field's two sign bit-planes (module docstring): O(q)
+    bit operations on Python ints, no numpy and no float.  A value is
+    kept per distinct numerator, at most 4 sqrt(q) + 3 of them by Hasse's
+    bound, and none per lambda.  The value at 0 is 0 (Greene's
+    eps(lambda) factor), 1 is an ordinary argument, and a code outside
+    range(q) raises ValueError.
     """
-    if ctx.check_code(lam) == ctx.zero:
+    if not ctx.check_code(lam):     # code 0 is the field's zero
         return Fraction(0)
     # perfbench/spans.py reads this key to spot a cold call
-    window = ctx._cache.get("squared_phi_binom_table")
-    if window is None:
-        t = numpy_tables(ctx)
-        u = t.phi[t.one_minus[t.exp_]]  # phi(1 - g**i); phi(g**i) = (-1)**i
-        window = ctx._cache["squared_phi_binom_table"] = (
-            phi_at_minus_one(ctx) * t.phi[t.exp_] * u, np.concatenate((u, u)))
-    w, u2 = window
+    planes = ctx._cache.get("squared_phi_binom_table")
+    if planes is None:
+        planes = ctx._cache["squared_phi_binom_table"] = _sign_planes(ctx)
+    w2, u, mask, u_bytes, values = planes
+    n = ctx.q - 1
     k = ctx.log.item(lam)
-    return Fraction(int(w @ u2[k:k + len(w)]), ctx.q)
+    num = n - 1 - 2 * (((w2 >> (n - k)) & mask) ^ u).bit_count()
+    if k:   # the dead term at j = k: L is n-2, and the XOR kept U's bit k
+        num += 2 * ((u_bytes[k >> 3] >> (k & 7)) & 1) - 1
+    value = values.get(num)
+    if value is None:
+        value = values[num] = Fraction(num, ctx.q)
+    return value
+
+
+def _sign_planes(ctx: FieldContext) -> tuple:
+    """A field's state for :func:`two_f_one`: W2 = W | W << n, U, the mask
+    of bits 1..n-1, U's bytes (little-endian), and the value per numerator
+    (empty)."""
+    n = ctx.q - 1
+    # 1 is c_0 = 1, and c_0 has the top place value ctx.one: taking 1 from
+    # c_0 mod p takes ``one`` from the code mod q, so g**j - 1 has code
+    # (exp[j] - one) % q.  Bit j of U is set iff u[j] = phi(g**j - 1) = -1;
+    # bit 0 is clear, as log[0] = 0.
+    par = ctx.log[(ctx.exp - ctx.one) % ctx.q] % 2
+    u_bytes = np.packbits(par, bitorder="little").tobytes()
+    u = int.from_bytes(u_bytes, "little")
+    mask = (1 << n) - 2
+    # w[i] = phi(-1) (-1)**i u[i]: flip U at the odd i, and everywhere if phi(-1) = -1
+    odd = int.from_bytes(b"\xaa" * len(u_bytes), "little")
+    w = (u ^ odd ^ -(phi_at_minus_one(ctx) < 0)) & mask
+    return w | w << n, u, mask, u_bytes, {}
 
 
 # ---------------------------------------------------------------------------

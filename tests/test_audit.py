@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from _audit_referee import REFEREE
 from hypergf import (FieldError, audit_identity, emit, emit_chunks, identity_by_key, registry,
                      sweep)
-from hypergf.audit import (PROVENANCES, Column, _columns_for, _residual, _scaled,
-                           cached_field, capped_prime_powers)
+from hypergf.audit import (_FIELD_CACHE, PROVENANCES, Column, _columns_for, _residual,
+                           _scaled, cached_field, capped_prime_powers)
 from hypergf.cli import run
 from hypergf.ff import odd_prime_powers
 
@@ -324,6 +324,24 @@ def test_work_budget_edge():
     with pytest.raises(FieldError, match="budget"):
         capped_prime_powers(853, lam)
     assert capped_prime_powers(156, [identity_by_key("C1")])[-1] == (151, 1)
+
+
+def test_audit_identity_budget_counts_the_requested_fields_only():
+    # one field past the sweep edges above: C1 over F_157 alone is
+    # 157^3 = 3.9e6 cells, G-reflect over F_853 alone 853^2 = 7.3e5
+    assert audit_identity("C1", [157]).status == "PASS"
+    assert audit_identity("G-reflect", [853]).status == "PASS"
+    # the edge on the requested fields: 317^3 <= 2^25 < 331^3 and
+    # 5791^2 <= 2^25 < 5801^2, and two fields add up: 4099^2 + 4111^2 > 2^25
+    assert audit_identity("C1", [317]).status == "PASS"
+    assert audit_identity("G-reflect", [5791]).status == "PASS"
+    for key, qs in [("C1", [331]), ("C1", [157, 311, 313]), ("G-reflect", [5801]),
+                    ("G-reflect", [4099, 4111])]:
+        with pytest.raises(FieldError, match="budget"):
+            audit_identity(key, qs)
+    # refused before any field is built
+    refused = {(311, 1), (313, 1), (331, 1), (4099, 1), (4111, 1), (5801, 1)}
+    assert not refused & set(_FIELD_CACHE)
 
 
 def test_sweep81_emit_is_pinned():

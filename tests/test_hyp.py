@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _chisum_referee as chisum_referee
+import _window_referee as window_referee
 from hypergf import (
     Character,
     HypSpec,
@@ -76,7 +77,7 @@ def test_specialized_equals_generic(p, r, field):
 
 
 @pytest.mark.parametrize("p,r", [(503, 1), (7, 3), (1009, 1)])
-def test_window_equals_integral_form_on_whole_field(p, r):
+def test_popcount_equals_integral_form_on_whole_field(p, r):
     # the benchmark's fields; the integral form is a separate code path
     ctx = make_field(p, r)
     phi, eps = quadratic_character(ctx), trivial_character(ctx)
@@ -90,6 +91,56 @@ def test_window_equals_integral_form_on_whole_field(p, r):
     keys = set(ctx._cache)
     assert [two_f_one(ctx, lam) for lam in range(ctx.q)] == expected
     assert set(ctx._cache) == keys
+
+
+def test_popcount_equals_window_referee_on_every_field_to_1000(field):
+    for p, r in odd_prime_powers(1000):
+        ctx = field(p, r)
+        q = ctx.q
+        lams = range(1, q)
+        expected = [Fraction(num, q) for num in window_referee.numerators(ctx, lams)]
+        assert [two_f_one(ctx, lam) for lam in lams] == expected, (p, r)
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (7, 3), (1009, 1)])
+def test_popcount_at_the_edges_of_the_log_range(p, r, field):
+    # k = 0 (lambda = 1) has one dead term and every other k two; k = 1 and
+    # k = n-1 put the second next to either end of the n-1 live bits,
+    # lambda = -1 is k = n/2, and F_3 has n = 2
+    ctx = field(p, r)
+    n = ctx.q - 1
+    minus_one, last = ctx.neg(ctx.one), ctx.exp.item(n - 1)
+    assert ctx.log[ctx.one] == 0 and ctx.log[minus_one] == n // 2 and ctx.log[last] == n - 1
+    for lam in (ctx.one, minus_one, last, ctx.exp.item(1)):
+        [num] = window_referee.numerators(ctx, [lam])
+        assert two_f_one(ctx, lam) == Fraction(num, ctx.q), lam
+    assert two_f_one(ctx, ctx.one) == Fraction(-phi_at_minus_one(ctx), ctx.q)
+
+
+@pytest.mark.parametrize("p,r", [(65521, 1), (3, 10), (65267, 1), (7, 5)])
+def test_popcount_equals_window_referee_at_seeded_lambdas(p, r, field):
+    # two large primes (q-1 = 2^4 * 3^2 * 5 * 7 * 13 and 2 * 32633) and two
+    # extensions with q = 3 mod 4 and q = 1 mod 4
+    ctx = field(p, r)
+    rng = random.Random(ctx.q)
+    lams = rng.sample(range(1, ctx.q), 200)
+    expected = [Fraction(num, ctx.q) for num in window_referee.numerators(ctx, lams)]
+    assert [two_f_one(ctx, lam) for lam in lams] == expected
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (13, 1), (3, 5), (503, 1), (7, 3), (1009, 1),
+                                 (4093, 1)])
+def test_numerator_values_stay_within_the_hasse_bound(p, r):
+    # a whole-field pass keeps one value per distinct numerator:
+    # |q F(lambda)| <= 2 sqrt(q) off {0, 1} (Hasse, on y^2 = x(x+1)(x+lambda))
+    # and q F(1) = -phi(-1), so never more than 4 sqrt(q) + 3 of them;
+    # nothing is kept per lambda
+    ctx = make_field(p, r)
+    values = [two_f_one(ctx, lam) for lam in range(ctx.q)]
+    kept = ctx._cache["squared_phi_binom_table"][-1]   # the values kept with the planes
+    assert len(kept) <= 4 * ctx.q ** 0.5 + 3
+    assert set(kept.values()) == set(values[1:])
+    assert all(value == Fraction(num, ctx.q) for num, value in kept.items())
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
