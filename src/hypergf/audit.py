@@ -44,6 +44,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -92,10 +93,11 @@ class Column:
 
 @dataclass(frozen=True)
 class Identity:
-    """One registry entry.  ``points(ctx)`` is its domain in an admissible
-    field, an (n, k) int array of parameter rows in sorted order;
-    ``evaluate(ctx, params)`` returns the exact (lhs, rhs) columns at the
-    rows of ``params``, which may be a whole domain or a single point."""
+    """One registry entry.  ``admissible(p, r)`` says whether F_{p^r} is in
+    its domain, before any field is built; ``points(ctx)`` is its domain in
+    an admissible field, an (n, k) int array of parameter rows in sorted
+    order; ``evaluate(ctx, params)`` returns the exact (lhs, rhs) columns at
+    the rows of ``params``, which may be a whole domain or a single point."""
 
     key: str
     provenance: str
@@ -104,8 +106,7 @@ class Identity:
     param_names: tuple[str, ...]
     points: Callable[[FieldContext], np.ndarray]
     evaluate: Callable[[FieldContext, np.ndarray], tuple[Column, Column]]
-    prime_only: bool = False
-    field_admissible: Callable[[FieldContext], bool] = lambda ctx: True
+    admissible: Callable[[int, int], bool] = lambda p, r: True
     counterpart: str | None = None
 
 
@@ -146,60 +147,48 @@ class FieldColumns:
                                     self.passed[rows].tolist())]
 
 
-@dataclass
+@dataclass(eq=False)
 class IdentityReport:
     """One identity audited over a list of fields.  ``columns`` holds one
-    :class:`FieldColumns` per admissible field, in q order, and
-    ``failures`` counts their failing rows; the status reads that count.
-    ``records`` and ``counterexamples`` passed as None are built from the
-    columns the first time they are read: every row, and the first
-    ``cap`` failing rows."""
+    :class:`FieldColumns` per admissible field, in q order, and the rest
+    is read off them: the failure count, and with it the status, and the
+    records (every row) and counterexamples (the first ``cap`` failing
+    rows), each built the first time it is read."""
 
     identity: str
     provenance: str
     domain: str
-    records: list[PointRecord]
-    counterexamples: list[PointRecord] = field(default_factory=list)
-    truncated: bool = False
-    columns: tuple[FieldColumns, ...] = field(default=(), repr=False, compare=False)
-    failures: int = 0
-    cap: int = field(default=COUNTEREXAMPLE_CAP, repr=False, compare=False)
+    columns: tuple[FieldColumns, ...] = field(default=(), repr=False)
+    cap: int = field(default=COUNTEREXAMPLE_CAP, repr=False)
+
+    @cached_property
+    def failures(self) -> int:
+        return sum(int((~block.passed).sum()) for block in self.columns)
+
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
     @property
-    def passed(self) -> bool:
-        return self.failures == 0
+    def truncated(self) -> bool:
+        return self.failures > self.cap
 
+    @cached_property
+    def records(self) -> list[PointRecord]:
+        return [rec for block in self.columns for rec in block.records()]
 
-def _first_failures(report: IdentityReport) -> list[PointRecord]:
-    out: list[PointRecord] = []
-    for block in report.columns:
-        failing = np.flatnonzero(~block.passed)[:report.cap - len(out)]
-        if len(failing):
-            out += block.records(failing)
-    return out
-
-
-def _built_on_read(name: str, build) -> property:
-    """A property over ``_name`` that a None there defers to ``build(report)``
-    at the first read; set after the dataclass is built, so that __init__
-    keeps its ``name`` argument."""
-    attr = "_" + name
-
-    def get(report):
-        if getattr(report, attr) is None:
-            setattr(report, attr, build(report))
-        return getattr(report, attr)
-
-    return property(get, lambda report, value: setattr(report, attr, value))
-
-
-IdentityReport.records = _built_on_read(
-    "records", lambda report: [rec for block in report.columns for rec in block.records()])
-IdentityReport.counterexamples = _built_on_read("counterexamples", _first_failures)
+    @cached_property
+    def counterexamples(self) -> list[PointRecord]:
+        out: list[PointRecord] = []
+        for block in self.columns:
+            failing = np.flatnonzero(~block.passed)[:self.cap - len(out)]
+            if len(failing):
+                out += block.records(failing)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +267,13 @@ def _cornacchia_num(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# domains: parameter rows in sorted order
+# domains: admissible fields, and parameter rows in sorted order
 # ---------------------------------------------------------------------------
+
+def _primes(modulus: int = 1, residue: int = 0) -> Callable[[int, int], bool]:
+    """Admissible on the prime fields F_p with p = residue mod modulus."""
+    return lambda p, r: r == 1 and p % modulus == residue
+
 
 def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
     mask[0, :] = mask[:, 0] = False
@@ -427,15 +421,14 @@ def _build_registry() -> list[Identity]:
         "2x(-1)^((x+y+1)/2)/(p-1) - (p+1)/(p(p-1)) with x^2+y^2=p, x odd",
         "primes p = 1 mod 4; a^2 = -1",
         ("a",), _points_sqrt_minus_one, t53(_cornacchia_num),
-        prime_only=True, field_admissible=lambda ctx: ctx.p % 4 == 1,
-        counterpart="C5.3")
+        admissible=_primes(4, 1), counterpart="C5.3")
 
     add("T5.3b", "printed",
         "F(4a/(1+a)^2) for a^2 in {2, 1/2} (lhs, series) vs the as-printed "
         "-(p+1)/(p(p-1)); the lhs column records the empirical values",
         "primes p = -1 mod 8; a^2 in {2, 1/2}",
         ("a",), _points_sqrt_two_or_half, t53(lambda p: -(p + 1)),
-        prime_only=True, field_admissible=lambda ctx: ctx.p % 8 == 7)
+        admissible=_primes(8, 7))
 
     add("T5.3c", "printed",
         "F(4a/(1+a)^2) for a^2 in {2, 1/2} (lhs, series) vs the as-printed "
@@ -443,7 +436,7 @@ def _build_registry() -> list[Identity]:
         "records the empirical values",
         "primes p = 1 mod 8; a^2 in {2, 1/2}",
         ("a",), _points_sqrt_two_or_half, t53(_cornacchia_num),
-        prime_only=True, field_admissible=lambda ctx: ctx.p % 8 == 1)
+        admissible=_primes(8, 1))
 
     # ---- corrected forms (oracle-derived; PASS expected) ------------------
 
@@ -508,7 +501,7 @@ def _build_registry() -> list[Identity]:
         "of F(-1): 2x(-1)^((x+y+1)/2)/p",
         "primes p = 1 mod 4; a^2 = -1",
         ("a",), _points_sqrt_minus_one, c53,
-        prime_only=True, field_admissible=lambda ctx: ctx.p % 4 == 1)
+        admissible=_primes(4, 1))
 
     def cedw(ctx, params):
         a, b = _rows(params)
@@ -587,7 +580,7 @@ def _build_registry() -> list[Identity]:
         "F(-1) over a prime field (lhs, series) = the two-squares closed "
         "form (0 when p = 3 mod 4)",
         "odd primes",
-        (), lambda ctx: np.zeros((1, 0), dtype=np.int64), ominus1, prime_only=True)
+        (), lambda ctx: np.zeros((1, 0), dtype=np.int64), ominus1, admissible=_primes())
 
     return ids
 
@@ -670,49 +663,48 @@ def _check_headroom(q_max: int) -> None:
 
 def _columns_for(ident: Identity, p: int, r: int) -> FieldColumns | None:
     """The identity over its whole domain in F_{p^r}, or None where the
-    field is not admissible."""
-    if ident.prime_only and r != 1:
+    field is not admissible (and is not built)."""
+    if not ident.admissible(p, r):
         return None
     ctx = cached_field(p, r)
-    if not ident.field_admissible(ctx):
-        return None
     params = ident.points(ctx)
     lhs, rhs = ident.evaluate(ctx, params)
     return FieldColumns(ident.key, ctx.q, ident.param_names, params, lhs, rhs,
                         _residual(lhs, rhs))
 
 
-def _sweep_task(args: tuple[str, int, int]) -> tuple[str, int, FieldColumns | None]:
+def _task(args: tuple[str, int, int]) -> FieldColumns | None:
     key, p, r = args
-    return key, p ** r, _columns_for(identity_by_key(key), p, r)
+    return _columns_for(identity_by_key(key), p, r)
 
 
-def _assemble(ident: Identity, per_q: dict[int, FieldColumns | None],
-              q_order: list[int], cap: int) -> IdentityReport:
-    columns = tuple(per_q[q] for q in q_order if per_q.get(q) is not None)
-    failures = sum(int((~block.passed).sum()) for block in columns)
-    return IdentityReport(
-        identity=ident.key, provenance=ident.provenance,
-        domain=f"{ident.domain_description}; q in {q_order}",
-        records=None,
-        counterexamples=None,
-        truncated=failures > cap,
-        columns=columns,
-        failures=failures,
-        cap=cap,
-    )
-
-
-def _check_cap(cap: int) -> None:
+def _audit(idents: list[Identity], pairs: list[tuple[int, int]], cap: int,
+           jobs: int = 1) -> list[IdentityReport]:
+    """One report per identity over the fields ``pairs``, sorted by q.  The
+    (identity, field) tasks run identity-major, over ``jobs`` processes at
+    most one per core and per task; the output does not depend on the
+    schedule, as the map keeps the task order."""
     if cap < 0:
         raise ValueError(f"counterexample cap must be >= 0, got {cap}")
+    tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
+    # the executor forks every worker at once: no more than cores or tasks
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            blocks = list(pool.map(_task, tasks, chunksize=4))
+    else:
+        blocks = list(map(_task, tasks))
+    n = len(pairs)
+    fields = f"q in {[p ** r for p, r in pairs]}"
+    return [IdentityReport(ident.key, ident.provenance, f"{ident.domain_description}; {fields}",
+                           tuple(b for b in blocks[i * n:(i + 1) * n] if b is not None), cap)
+            for i, ident in enumerate(idents)]
 
 
 def audit_identity(key: str, q_values: Iterable[int], *,
                    cap: int = COUNTEREXAMPLE_CAP) -> IdentityReport:
     """Evaluate one identity exactly at every point of its domain over the
     given prime powers."""
-    _check_cap(cap)
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
     by_q = {p ** r: (p, r) for p, r in _fields_up_to(max(q_order, default=0))}
@@ -720,38 +712,18 @@ def audit_identity(key: str, q_values: Iterable[int], *,
         if q not in by_q:
             raise ValueError(f"{q} is not an odd prime power")
     _check_work(q_order, [ident], f"q in {q_order}")    # the requested fields only
-    per_q = {q: _columns_for(ident, *by_q[q]) for q in q_order}
-    return _assemble(ident, per_q, q_order, cap)
+    return _audit([ident], [by_q[q] for q in q_order], cap)[0]
 
 
 def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
           cap: int = COUNTEREXAMPLE_CAP) -> list[IdentityReport]:
     """Audit every registry identity (optionally one provenance class)
-    over all odd prime powers q <= q_max.  ``jobs`` > 1 fans the
-    (identity, q) grid out over processes, at most one per core and per
-    task; output is independent of the schedule because records are
-    reassembled in sorted order."""
-    _check_cap(cap)
+    over all odd prime powers q <= q_max; ``jobs`` > 1 fans the
+    (identity, q) grid out over processes."""
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
-    pairs = capped_prime_powers(q_max, idents)
-    qs = [p ** r for p, r in pairs]
-    tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
-    results: dict[tuple[str, int], FieldColumns | None] = {}
-    # the executor forks every worker at once: no more than cores or tasks
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, q, block in pool.map(_sweep_task, tasks, chunksize=4):
-                results[(key, q)] = block
-    else:
-        for key, q, block in map(_sweep_task, tasks):
-            results[(key, q)] = block
-    return [
-        _assemble(ident, {q: results[(ident.key, q)] for q in qs}, qs, cap)
-        for ident in idents
-    ]
+    return _audit(idents, capped_prime_powers(q_max, idents), cap, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives;
 semantic equality means equal remainders modulo the n-th cyclotomic
 polynomial.  Canonicalization is paid only at comparison/extraction
 points, so products are integer cyclic convolutions and the one
-reduction is an integer long division by the nonzero terms of Phi_n.
+reduction is an integer long division, at their nonzero terms, by a
+chain of multiples of Phi_n that ends in Phi_n.
 
 The floating :meth:`GroupRingElement.embed` is a diagnostic cross-check
 only; every result that matters is extracted exactly.
@@ -63,19 +64,30 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 def reduce_mod_cyclotomic(vec, n: int) -> tuple[int, ...]:
     """Remainder of sum(vec[m] * x**m) modulo Phi_n, as a tuple of phi(n)
-    ints.  The entries must be integers (Python or numpy); the long
-    division by the monic Phi_n subtracts at its nonzero terms only."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    ints.  The entries must be integers (Python or numpy).
+
+    With p_1 < ... < p_k the primes of n and m_i = p_1 ... p_i, the long
+    division runs by the monic Phi_(m_i)(x**(n/m_i)) in turn, subtracting
+    at its nonzero terms only.  Each divisor has zeta_n as a root, so is a
+    multiple of Phi_n, and the last is Phi_n itself: the remainder is the
+    one by Phi_n alone, while a dense Phi_n (n = 2p) meets only the few
+    coefficients the earlier divisions leave."""
     work = list(map(operator.index, vec))
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
-        if c:
-            base = k - deg
-            for j, pj in terms:
-                work[base + j] -= c * pj
-    return tuple(work[:deg])
+    m = 1
+    for p in prime_factors(n) or [1]:                   # n = 1: Phi_1 alone
+        m *= p
+        step = n // m
+        phi = cyclotomic_polynomial(m)
+        deg = (len(phi) - 1) * step
+        terms = [(j * step, c) for j, c in enumerate(phi[:-1]) if c]
+        for k in range(len(work) - 1, deg - 1, -1):
+            c = work[k]
+            if c:
+                base = k - deg
+                for j, pj in terms:
+                    work[base + j] -= c * pj
+        del work[deg:]
+    return tuple(work)
 
 
 def rational_from_vector(vec, n: int) -> Fraction:

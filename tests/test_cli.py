@@ -104,6 +104,8 @@ def test_evalnfn(capsys):
     (1009, 1, 1, 1, "80029874585c041e6db6c2652b16a66eab84de500a8986fd204c8d0bd345a86c"),
     (1009, 1, 5, 300, "a0fdb6001550b9b2b479c59fd18ed0d2abc597cda141dcd45b087a39d9a0af8b"),
     (4093, 1, 1, 1, "3154137e35af9d80b3ad37688842faecdf724ac3e55f66feef40da9d3b821c02"),
+    # 8039 = 2*4019 + 1: Phi_8038 is dense
+    (8039, 1, 1, 1, "be3ac8f7c75d9becdfc36d2eb36f838ba41fff01ef2ffa9aecbe0844f9762532"),
 ])
 def test_charsum_output_is_pinned(capsys, p, r, ja, jb, digest):
     # polynomials and float embeddings, byte for byte

@@ -119,7 +119,9 @@ def _dense_reduce(vec, n):
     return tuple(work[:deg])
 
 
-@pytest.mark.parametrize("ns", [range(1, 400), (1008, 4092)])
+# 1394 = 2*17*41, 2042 = 2*1021 and 2310 = 2*3*5*7*11: dense Phi_n with
+# several primes, so every link of the division chain carries terms
+@pytest.mark.parametrize("ns", [range(1, 400), (1008, 4092), (1394, 2042, 2310)])
 def test_reduction_matches_the_dense_division(ns):
     rng = random.Random(20240 + len(ns))
     for n in ns:
