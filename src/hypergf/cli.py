@@ -27,7 +27,7 @@ from . import audit as audit_mod
 from . import curves
 from .chars import Character, binomial_symbol, jacobi_sum
 from .cyclo import NonRationalValueError
-from .ff import FieldError, make_field
+from .ff import FieldError, check_field_size, make_field
 from .hyp import HypSpec, check_order, cornacchia, hyp_eval, ono_value_minus1, two_f_one
 
 
@@ -105,7 +105,8 @@ def _build_parser() -> _Parser:
     p_audit.add_argument("--qmax", type=int, required=True)
     p_audit.add_argument("--provenance", choices=audit_mod.PROVENANCES)
     p_audit.add_argument("--format", choices=("json", "csv"), default="json")
-    p_audit.add_argument("--jobs", type=int, default=1)
+    p_audit.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for --all (unused with --identity)")
 
     return parser
 
@@ -138,7 +139,7 @@ def _cmd_eval2f1(args) -> int:
 def _cmd_evalnfn(args) -> int:
     if len(args.top) != len(args.bottom) + 1:
         raise UsageError("--top needs exactly one more index than --bottom")
-    check_order(args.p ** args.r, len(args.top))  # refuse before building the field
+    check_order(check_field_size(args.p, args.r), len(args.top))  # before make_field
     ctx = make_field(args.p, args.r)
     x = ctx.element(args.x)
     spec = HypSpec(
@@ -187,13 +188,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_special(args) -> int:
     p = args.p
-    value = ono_value_minus1(p)
-    if p % 4 == 1:
-        ts = cornacchia(p)
-        x, y = ts.x, ts.y
-    else:
-        x = y = None
-    out = {"x": x, "y": y, "two_f_one_minus1": _frac_str(value)}
+    check_field_size(p, 1)                   # before any primality test
+    ts = cornacchia(p) if p % 4 == 1 else None
+    value = ts.value_minus1 if ts else ono_value_minus1(p)
+    out = {"x": ts and ts.x, "y": ts and ts.y, "two_f_one_minus1": _frac_str(value)}
     print(json.dumps(out, separators=(",", ":")))
     return 0
 

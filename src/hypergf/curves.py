@@ -1,12 +1,12 @@
 """Brute-force rational point counts for four plane curve models.
 
-Counting is exhaustive: the defining equation is tested at every affine
-pair (x, y), vectorized over the grid but with no discriminant logic,
-so these counts serve as ground truth for everything else in the
-package.  Points at infinity are fixed constants read off the
-homogenized equations: three for the Huff models, one for Weierstrass;
-the Edwards count is reported affine-only and any completion convention
-is left to the caller.
+Counting is exhaustive: one enumerator tests a model's defining equation
+at every affine pair (x, y), in blocks of x rows within ``ff.BLOCK_CELLS``
+cells, with no discriminant logic, so these counts serve as ground truth
+for everything else in the package.  Points at infinity are fixed
+constants read off the homogenized equations: three for the Huff models,
+one for Weierstrass; the Edwards count is reported affine-only and any
+completion convention is left to the caller.
 
 The audit needs whole families of curves over one field, so each count
 also has a family form (``general_huff_family``, ``huff_family``,
@@ -26,8 +26,8 @@ are broadcast over blocks of consecutive a, each block within
 so no build holds more than O(max(q**2, BLOCK_CELLS)) elements at once.
 
 Also here: the rational maps between the general Huff model and the
-Weierstrass model v**2 = u(u+a)(u+b), applied pointwise with their
-exceptional loci counted rather than skipped.
+Weierstrass model v**2 = u(u+a)(u+b), applied to every enumerated point
+with their exceptional loci counted rather than skipped.
 """
 
 from __future__ import annotations
@@ -112,42 +112,64 @@ class CurveCount:
             raise ValueError("counts must be nonnegative")
 
 
-def _general_huff_grid(ctx: FieldContext, a: int, b: int) -> np.ndarray:
-    """Boolean (q, q) grid of affine solutions of the general Huff equation."""
+# each model's defining equation (see its parameter class) as a test at
+# broadcast arrays of x and y codes
+
+def _on_general_huff(ctx: FieldContext, a: int, b: int):
     t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    w = t.vsub(t.vmul(a, t.sq), ctx.one)                  # a y^2 - 1, indexed by y
-    c = t.vsub(t.vmul(b, t.sq), ctx.one)                  # b x^2 - 1, indexed by x
-    lhs = t.vmul(codes[:, None], w[None, :])              # x * (a y^2 - 1)
-    rhs = t.vmul(c[:, None], codes[None, :])              # (b x^2 - 1) * y
-    return lhs == rhs
+    a_sq_m1 = t.vsub(t.vmul(a, t.sq), ctx.one)
+    b_sq_m1 = t.vsub(t.vmul(b, t.sq), ctx.one)
+    return lambda x, y: t.vmul(x, a_sq_m1[y]) == t.vmul(b_sq_m1[x], y)
+
+
+def _on_huff(ctx: FieldContext, a: int, b: int):
+    t = numpy_tables(ctx)
+    sq_m1 = t.vsub(t.sq, ctx.one)
+    return lambda x, y: t.vmul(t.vmul(a, x), sq_m1[y]) == t.vmul(sq_m1[x], t.vmul(b, y))
+
+
+def _weierstrass_fx(t: NumpyTables, a: int, b: int, x: np.ndarray) -> np.ndarray:
+    return t.vmul(x, t.vmul(t.vadd(x, a), t.vadd(x, b)))
+
+
+def _on_weierstrass(ctx: FieldContext, a: int, b: int):
+    t = numpy_tables(ctx)
+    return lambda x, y: t.sq[y] == _weierstrass_fx(t, a, b, x)
+
+
+def _on_edwards(ctx: FieldContext, d2: int):
+    t = numpy_tables(ctx)
+    return lambda x, y: (t.vadd(t.sq[x], t.sq[y])
+                         == t.vadd(ctx.one, t.vmul(d2, t.vmul(t.sq[x], t.sq[y]))))
+
+
+def _blocks(start: int, stop: int, cells: int) -> list[slice]:
+    """range(start, stop) cut into runs of one code, or of few enough codes
+    that their rows of ``cells`` cells fit in ``BLOCK_CELLS``."""
+    step = max(1, BLOCK_CELLS // cells)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
+def _affine_points(ctx: FieldContext, on_curve) -> np.ndarray:
+    """Pair codes x*q + y, ascending, of the affine solutions of
+    ``on_curve``, tested on blocks of x rows against every y."""
+    q, codes = ctx.q, np.arange(ctx.q)
+    return np.concatenate([xs.start * q + on_curve(codes[xs, None], codes).ravel().nonzero()[0]
+                           for xs in _blocks(0, q, q)])
 
 
 def count_general_huff(ctx: FieldContext, params: GeneralHuffParams) -> CurveCount:
     """Affine count by exhaustive enumeration; three points at infinity."""
     params.validate(ctx)
-    affine = int(_general_huff_grid(ctx, params.a, params.b).sum())
+    affine = len(_affine_points(ctx, _on_general_huff(ctx, params.a, params.b)))
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
 
 
 def count_huff(ctx: FieldContext, params: HuffParams) -> CurveCount:
     """Affine count by exhaustive enumeration; three points at infinity."""
     params.validate(ctx)
-    t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    ax = t.vmul(params.a, codes)                          # a x
-    by = t.vmul(params.b, codes)                          # b y
-    sq_m1 = t.vsub(t.sq, ctx.one)                         # z^2 - 1, any axis
-    lhs = t.vmul(ax[:, None], sq_m1[None, :])
-    rhs = t.vmul(sq_m1[:, None], by[None, :])
-    affine = int((lhs == rhs).sum())
+    affine = len(_affine_points(ctx, _on_huff(ctx, params.a, params.b)))
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
-
-
-def _weierstrass_fx(t: NumpyTables, a: int, b: int) -> np.ndarray:
-    """x(x+a)(x+b) at every x, indexed by x."""
-    codes = np.arange(t.q)
-    return t.vmul(codes, t.vmul(t.vadd(codes, a), t.vadd(codes, b)))
 
 
 def count_weierstrass(ctx: FieldContext, params: WeierstrassParams) -> CurveCount:
@@ -156,7 +178,7 @@ def count_weierstrass(ctx: FieldContext, params: WeierstrassParams) -> CurveCoun
     one point at infinity."""
     params.validate(ctx)
     t = numpy_tables(ctx)
-    affine = int(t.nsqrt[_weierstrass_fx(t, params.a, params.b)].sum())
+    affine = int(t.nsqrt[_weierstrass_fx(t, params.a, params.b, np.arange(ctx.q))].sum())
     return CurveCount(affine=affine, at_infinity=1, total=affine + 1)
 
 
@@ -164,10 +186,7 @@ def count_edwards_affine(ctx: FieldContext, params: EdwardsParams) -> int:
     """Exhaustive affine solution count of the Edwards equation.  No
     points at infinity are added; completion conventions live upstream."""
     params.validate(ctx)
-    t = numpy_tables(ctx)
-    lhs = t.vadd(t.sq[:, None], t.sq[None, :])
-    rhs = t.vadd(ctx.one, t.vmul(params.d2, t.vmul(t.sq[:, None], t.sq[None, :])))
-    return int((lhs == rhs).sum())
+    return len(_affine_points(ctx, _on_edwards(ctx, params.d2)))
 
 
 def count_general_huff_quartic(ctx: FieldContext,
@@ -213,13 +232,11 @@ def _per_field(build):
 
 
 def _rows_over_a(q: int, cells: int, rows) -> np.ndarray:
-    """A (q, q) table whose rows a >= 1 are ``rows(a)`` for an array of
-    consecutive a's, ``cells`` int64 cells per a; each block of a's stays
-    within ``BLOCK_CELLS`` cells, or is one a.  Row 0 is left unset."""
-    table = np.empty((q, q), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // cells)
-    for lo in range(1, q, step):
-        table[lo:lo + step] = rows(np.arange(lo, min(lo + step, q)))
+    """A (q, q) table whose rows a >= 1 are ``rows(a)`` for blocks of
+    consecutive a's, ``cells`` int64 cells per a.  Row 0 is left unset."""
+    table, codes = np.empty((q, q), dtype=np.int64), np.arange(q)
+    for a in _blocks(1, q, cells):
+        table[a] = rows(codes[a])
     return table
 
 
@@ -359,16 +376,6 @@ class MapReport:
         return self.source_total == self.target_total
 
 
-def _affine_points(grid: np.ndarray) -> list[tuple[int, int]]:
-    xs, ys = np.nonzero(grid)
-    return list(zip(xs.tolist(), ys.tolist()))
-
-
-def _weierstrass_points(ctx: FieldContext, a: int, b: int) -> list[tuple[int, int]]:
-    t = numpy_tables(ctx)
-    return _affine_points(_weierstrass_fx(t, a, b)[:, None] == t.sq[None, :])
-
-
 def map_points(ctx: FieldContext, source_model: str, target_model: str,
                params) -> MapReport:
     """Apply the model isomorphism pointwise and report the bookkeeping.
@@ -379,10 +386,8 @@ def map_points(ctx: FieldContext, source_model: str, target_model: str,
     and huff->edwards (parameter d = (a - b)/(a + b), count-level only).
     """
     pair = (source_model, target_model)
-    if pair == ("ghuff", "weier"):
-        return _map_ghuff_weier(ctx, params, forward=True)
-    if pair == ("weier", "ghuff"):
-        return _map_ghuff_weier(ctx, params, forward=False)
+    if pair in (("ghuff", "weier"), ("weier", "ghuff")):
+        return _map_ghuff_weier(ctx, params, source_model, target_model)
     if pair == ("huff", "ghuff"):
         return _map_huff_ghuff(ctx, params)
     if pair == ("huff", "edwards"):
@@ -391,51 +396,36 @@ def map_points(ctx: FieldContext, source_model: str, target_model: str,
 
 
 def _map_ghuff_weier(ctx: FieldContext, params: GeneralHuffParams,
-                     forward: bool) -> MapReport:
-    gparams = GeneralHuffParams(params.a, params.b)
-    gparams.validate(ctx)
+                     source: str, target: str) -> MapReport:
+    GeneralHuffParams(params.a, params.b).validate(ctx)
+    t = numpy_tables(ctx)
     a, b = params.a, params.b
-    g_pts = _affine_points(_general_huff_grid(ctx, a, b))
-    w_pts = _weierstrass_points(ctx, a, b)
-    g_exc = sum(1 for (x, y) in g_pts if x == y)          # y = x kills the map
-    w_exc = sum(1 for (_, v) in w_pts if v == 0)          # v = 0 kills the inverse
-    images = []
-    on_target = True
-    if forward:
-        w_set = set(w_pts)
-        for (x, y) in g_pts:
-            if x == y:
-                continue
-            inv_d = ctx.inv(ctx.sub(y, x))
-            u = ctx.mul(ctx.sub(ctx.mul(b, x), ctx.mul(a, y)), inv_d)
-            v = ctx.mul(ctx.sub(b, a), inv_d)
-            images.append((u, v))
-            if (u, v) not in w_set:
-                on_target = False
-        mapped, exc_src, exc_tgt = len(images), g_exc, w_exc
-        src_total, tgt_total = len(g_pts) + 3, len(w_pts) + 1
-    else:
-        g_set = set(g_pts)
-        for (u, v) in w_pts:
-            if v == 0:
-                continue
-            inv_v = ctx.inv(v)
-            x = ctx.mul(ctx.add(u, a), inv_v)
-            y = ctx.mul(ctx.add(u, b), inv_v)
-            images.append((x, y))
-            if (x, y) not in g_set:
-                on_target = False
-        mapped, exc_src, exc_tgt = len(images), w_exc, g_exc
-        src_total, tgt_total = len(w_pts) + 1, len(g_pts) + 3
+
+    def over(num1, num2, den):                     # (num1/den, num2/den)
+        inv = t.vinv(den)
+        return t.vmul(num1, inv), t.vmul(num2, inv)
+
+    # each model: its equation, points at infinity, where its map to the
+    # other model is defined, and that map
+    models = {
+        "ghuff": (_on_general_huff(ctx, a, b), 3, lambda x, y: x != y,
+                  lambda x, y: over(t.vsub(t.vmul(b, x), t.vmul(a, y)), ctx.sub(b, a),
+                                    t.vsub(y, x))),
+        "weier": (_on_weierstrass(ctx, a, b), 1, lambda u, v: v != 0,
+                  lambda u, v: over(t.vadd(u, a), t.vadd(u, b), v)),
+    }
+    on_src, src_inf, src_defined, apply = models[source]
+    on_tgt, tgt_inf, tgt_defined, _ = models[target]
+    src, tgt = (np.divmod(_affine_points(ctx, on), ctx.q) for on in (on_src, on_tgt))
+    keep = src_defined(*src)
+    image = apply(src[0][keep], src[1][keep])
+    mapped = len(image[0])
     return MapReport(
-        source_model="ghuff" if forward else "weier",
-        target_model="weier" if forward else "ghuff",
-        source_params=(a, b), target_params=(a, b),
-        mapped=mapped, exceptional_source=exc_src, exceptional_target=exc_tgt,
-        injective=len(set(images)) == len(images),
-        images_on_target=on_target,
-        source_total=src_total, target_total=tgt_total,
-    )
+        source, target, (a, b), (a, b), mapped=mapped,
+        exceptional_source=len(keep) - mapped, exceptional_target=int((~tgt_defined(*tgt)).sum()),
+        injective=len(np.unique(image[0] * ctx.q + image[1])) == mapped,
+        images_on_target=bool(on_tgt(*image).all()),
+        source_total=len(keep) + src_inf, target_total=len(tgt[0]) + tgt_inf)
 
 
 def _map_huff_ghuff(ctx: FieldContext, params: HuffParams) -> MapReport:

@@ -277,6 +277,15 @@ def q_cap(cap: int | None = None) -> int:
         raise FieldError(f"{Q_CAP_ENV_VAR}={env!r} is not an integer") from None
 
 
+def check_field_size(p: int, r: int, cap: int | None = None) -> int:
+    """q = p**r, or :class:`FieldError` over the cap, found from r alone
+    (q >= 2**r) without forming p**r when r >= cap.bit_length()."""
+    limit = q_cap(cap)
+    if (abs(p) >= 2 and r >= limit.bit_length()) or p ** r > limit:
+        raise FieldError(f"q = {p}**{r} exceeds the configured cap {limit}")
+    return p ** r
+
+
 def make_field(p: int, r: int = 1, *, cap: int | None = None,
                generator: int | None = None) -> FieldContext:
     """Construct F_{p**r} deterministically.
@@ -294,12 +303,9 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
         raise FieldError(f"extension degree must be >= 1, got {r}")
     if p % 2 == 0:
         raise FieldError(f"characteristic must be odd, got p={p}")
+    q = check_field_size(p, r, cap)          # before the primality test
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
-    q = p ** r
-    limit = q_cap(cap)
-    if q > limit:
-        raise FieldError(f"q={q} exceeds the configured cap {limit}")
 
     modulus = _find_modulus(p, r)
     assert r * (p - 1) ** 2 < 2 ** 63, "int64 matrix products over F_p overflow"

@@ -254,6 +254,12 @@ class TwoSquares:
         if self.x <= 0 or self.y <= 0 or self.x % 2 == 0:
             raise ValueError("normalization requires x odd, both positive")
 
+    @property
+    def value_minus1(self) -> Fraction:
+        """The (phi, phi; eps) sum at -1 over F_p: 2x(-1)**((x+y+1)/2) / p."""
+        sign = -1 if ((self.x + self.y + 1) // 2) % 2 else 1
+        return Fraction(2 * self.x * sign, self.p)
+
 
 def cornacchia(p: int) -> TwoSquares:
     """Decompose a prime p = 1 mod 4 as x**2 + y**2, x odd.
@@ -284,6 +290,4 @@ def ono_value_minus1(p: int) -> Fraction:
     and 0 for p = 3 mod 4."""
     if p % 4 == 3 and is_prime(p):
         return Fraction(0)
-    ts = cornacchia(p)  # raises FieldError unless p is an odd prime
-    sign = -1 if ((ts.x + ts.y + 1) // 2) % 2 else 1
-    return Fraction(2 * ts.x * sign, p)
+    return cornacchia(p).value_minus1  # raises FieldError unless p is an odd prime

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hypergf import audit
+from hypergf import audit, ff, hyp
 from hypergf.cli import run
 
 
@@ -164,13 +164,29 @@ def test_usage_errors(capsys):
     (None, ["audit", "--identity", "G-reflect", "--qmax", "853"]),
     (None, ["evalnfn", "--p", "13", "--top", "2,2", "--bottom", "0", "--x", "-1"]),
     (None, ["evalnfn", "--p", "65521", "--top", "1,2,3", "--bottom", "4,5", "--x", "2"]),
+    # both large p are prime: only a size check ahead of the primality
+    # test refuses them without ~sqrt(p) trial divisions
+    (None, ["field", "--p", "1000000000000000003"]),
+    (None, ["field", "--p", "3", "--r", "3000000"]),
+    (None, ["evalnfn", "--p", "3", "--r", "3000000", "--top", "1", "--x", "1"]),
+    (None, ["special", "--p", "1000000000000000009"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
         "audit-over-work-budget", "identity-over-work-budget",
-        "evalnfn-not-rational", "evalnfn-order-3-column-too-large"])
+        "evalnfn-not-rational", "evalnfn-order-3-column-too-large",
+        "field-p-over-cap", "field-r-over-cap", "evalnfn-r-over-cap",
+        "special-p-over-cap"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []
     monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
+    limit = int(cap) if cap and cap.isdigit() else ff.DEFAULT_Q_CAP
+
+    def is_prime(n, trial_division=ff.is_prime):
+        if n > limit:
+            pytest.fail(f"is_prime({n}) called above the field-size cap {limit}")
+        return trial_division(n)
+    monkeypatch.setattr(ff, "is_prime", is_prime)
+    monkeypatch.setattr(hyp, "is_prime", is_prime)
     monkeypatch.delenv("HYPERGF_Q_CAP", raising=False)
     if cap is not None:
         monkeypatch.setenv("HYPERGF_Q_CAP", cap)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -238,6 +239,60 @@ def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
             want = [[_reference(count, params, ctx, a, b) for b in range(q)]
                     for a in range(q)]
             assert family(ctx).tolist() == want, (family.__name__, budget)
+
+
+def _per_curve_survey(ctx, pairs):
+    """Every exhaustive count and both general Huff <-> Weierstrass map
+    directions at ``pairs``, with each refusal as its message."""
+    def outcome(call, *args):
+        try:
+            return call(ctx, *args)
+        except ParameterError as exc:
+            return str(exc)
+    out = [outcome(count_edwards_affine, EdwardsParams(d2)) for d2 in range(ctx.q)]
+    for a, b in pairs:
+        out += [outcome(count_general_huff, GeneralHuffParams(a, b)),
+                outcome(count_huff, HuffParams(a, b)),
+                outcome(map_points, "ghuff", "weier", GeneralHuffParams(a, b)),
+                outcome(map_points, "weier", "ghuff", GeneralHuffParams(a, b))]
+    return out
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (31, 1)])
+def test_per_curve_counts_and_maps_do_not_depend_on_the_block(p, r, monkeypatch):
+    # the default budget takes F_q in one block of x rows, a budget of q
+    # or 1 takes one row per block, and 3q three (the last one shorter
+    # unless 3 divides q)
+    q = p ** r
+    rng = random.Random(q)
+    pairs = [(0, 1), (1, 1), (1, 2)] + [(rng.randrange(q), rng.randrange(q))
+                                        for _ in range(12)]
+    want = _per_curve_survey(make_field(p, r), pairs)
+    assert sum(isinstance(w, str) for w in want) < len(want) // 2
+    for budget in (q, 1, 3 * q):
+        monkeypatch.setattr(curves, "BLOCK_CELLS", budget)
+        assert _per_curve_survey(make_field(p, r), pairs) == want, budget
+
+
+def test_per_curve_kernels_stay_within_the_block_budget(field):
+    # a whole q x q grid of int64 at F_4093 is 128 MiB; the enumerator
+    # holds a few BLOCK_CELLS-sized arrays at once
+    ctx = field(4093)
+    calls = {
+        "count_general_huff": lambda: count_general_huff(ctx, GeneralHuffParams(1, 4)),
+        "count_huff": lambda: count_huff(ctx, HuffParams(1, 2)),
+        "count_edwards_affine": lambda: count_edwards_affine(ctx, EdwardsParams(4)),
+        "map_points": lambda: map_points(ctx, "ghuff", "weier", GeneralHuffParams(1, 4)),
+    }
+    calls["count_huff"]()                       # field tables outside the trace
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (name, peak)
 
 
 def test_family_tables_are_cached_and_read_only(field):
