@@ -31,8 +31,9 @@ per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
 and pass flags are integer column arithmetic, and a report's status
 comes from its count of failing rows.  :func:`emit_chunks` renders rows
 straight from the columns, one byte chunk per (identity, field) block, and
-``Fraction`` appears only in the ``PointRecord``s a report builds when its
-``records`` or ``counterexamples`` are first read.
+``Fraction`` appears only in ``PointRecord``s: those a report's
+``records`` view builds one block at a time as it is read, and its
+capped ``counterexamples``.
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ import csv
 import io
 import json
 import os
+from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -110,7 +114,7 @@ class Identity:
     counterpart: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointRecord:
     identity: str
     q: int
@@ -147,13 +151,55 @@ class FieldColumns:
                                     self.passed[rows].tolist())]
 
 
+class RecordsView(Sequence):
+    """The records of a run of blocks, in order, as a read-only sequence.
+    Its length is the blocks' row count; iteration builds one block's
+    records at a time, and an index or slice only the records it names
+    (a slice as a list).  It compares equal to a list of the same
+    records."""
+
+    def __init__(self, blocks: tuple[FieldColumns, ...]):
+        self._blocks = blocks
+        self._ends = list(accumulate(len(block.params) for block in blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[PointRecord]:
+        for block in self._blocks:
+            yield from block.records()
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]       # raises as a list of this length would
+        if isinstance(picked, range):
+            return self._at(np.arange(picked.start, picked.stop, picked.step))
+        return self._at(np.array([picked]))[0]
+
+    def _at(self, positions: np.ndarray) -> list[PointRecord]:
+        """The records at monotonic ``positions``, each block's run of them
+        built at once; a block is found by bisecting the cumulative row ends."""
+        which = np.searchsorted(self._ends, positions, side="right")
+        out: list[PointRecord] = []
+        for run in np.split(positions, np.flatnonzero(np.diff(which)) + 1):
+            if len(run):
+                b = bisect_right(self._ends, run[0])
+                out += self._blocks[b].records(run - self._ends[b] + len(self._blocks[b].params))
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RecordsView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(eq=False)
 class IdentityReport:
     """One identity audited over a list of fields.  ``columns`` holds one
     :class:`FieldColumns` per admissible field, in q order, and the rest
-    is read off them: the failure count, and with it the status, and the
-    records (every row) and counterexamples (the first ``cap`` failing
-    rows), each built the first time it is read."""
+    is read off them: the failure count, and with it the status, the
+    records (every row, a :class:`RecordsView` over the columns) and the
+    counterexamples (the first ``cap`` failing rows, built the first time
+    they are read)."""
 
     identity: str
     provenance: str
@@ -178,8 +224,8 @@ class IdentityReport:
         return self.failures > self.cap
 
     @cached_property
-    def records(self) -> list[PointRecord]:
-        return [rec for block in self.columns for rec in block.records()]
+    def records(self) -> RecordsView:
+        return RecordsView(self.columns)
 
     @cached_property
     def counterexamples(self) -> list[PointRecord]:
@@ -839,4 +885,6 @@ def emit(reports: list[IdentityReport], format: str = "json") -> bytes:
     """Serialize reports: one record per (identity, parameter point),
     rendered from the report's columns, plus one summary record per
     identity.  Rationals render in lowest terms as "num/den"."""
-    return b"".join(emit_chunks(reports, format))
+    buf = io.BytesIO()
+    buf.writelines(emit_chunks(reports, format))
+    return buf.getvalue()

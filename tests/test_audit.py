@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,20 @@ def test_emit_chunks_hold_one_block_at_a_time():
     assert peak < 2.5e6, peak                      # a quarter of the output
 
 
+def test_emit_fills_one_buffer():
+    reports = sweep(49)
+    for fmt in ("json", "csv"):
+        tracemalloc.start()
+        try:
+            payload = emit(reports, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert payload == b"".join(emit_chunks(reports, fmt))
+        # the output and one block's text; joining the chunks held two outputs
+        assert peak < 1.5 * SWEEP49_PINS[fmt][0], (fmt, peak)
+
+
 def test_work_budget_edge():
     # the whole registry reads (a, b) family tables: sum q^3 <= 2^25
     assert capped_prime_powers(156)[-1] == (151, 1)
@@ -375,6 +390,45 @@ def test_sweep_and_emit_build_no_records():
                        if not rec.passed]
             assert rep.counterexamples == failing[:100]
             assert rep.failures == len(failing)
+
+
+def test_records_view_reads_the_blocks_in_order():
+    # T5.2a has an empty domain at q = 3; O-minus1 has no field among 9, 27
+    for report in (audit_identity("T5.2a", [3, 5, 7, 9, 11]), sweep(13)[0],
+                   audit_identity("O-minus1", [9, 27])):
+        view = report.records
+        assert isinstance(view, Sequence) and not isinstance(view, list)
+        listed = list(view)
+        assert len(view) == len(listed) == sum(len(b.params) for b in report.columns)
+        assert bool(view) == bool(listed)
+        assert listed == [rec for block in report.columns for rec in block.records()]
+        assert view == listed and listed == view and view == report.records
+        n = len(listed)
+        assert view != [*listed, None] and view != tuple(listed)
+        assert view != listed[::-1] or n < 2
+        for i in (0, 1, n // 2, n - 1, -1, -n, n, -n - 1, 10 ** 6):
+            if -n <= i < n:
+                assert view[i] == listed[i]
+            else:
+                with pytest.raises(IndexError):
+                    view[i]
+        for cut in (slice(None), slice(3, n - 2), slice(-5, None), slice(None, None, -1),
+                    slice(n - 1, 2, -3), slice(1, n * 2, 7), slice(n, 0), slice(-n - 4, 3)):
+            assert view[cut] == listed[cut], cut
+        with pytest.raises(TypeError):
+            view["0"]
+
+
+def test_record_counts_cost_no_records():
+    reports = sweep(81)
+    tracemalloc.start()
+    try:
+        total = sum(len(rep.records) for rep in reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == sum(len(block.params) for rep in reports for block in rep.columns)
+    assert peak < 1e6, peak
 
 
 @st.composite
