@@ -41,10 +41,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from bisect import bisect_right
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -198,14 +196,13 @@ class IdentityReport:
     :class:`FieldColumns` per admissible field, in q order, and the rest
     is read off them: the failure count, and with it the status, the
     records (every row, a :class:`RecordsView` over the columns) and the
-    counterexamples (the first ``cap`` failing rows, built the first time
-    they are read)."""
+    counterexamples (the first :data:`COUNTEREXAMPLE_CAP` failing rows,
+    built the first time they are read)."""
 
     identity: str
     provenance: str
     domain: str
     columns: tuple[FieldColumns, ...] = field(default=(), repr=False)
-    cap: int = field(default=COUNTEREXAMPLE_CAP, repr=False)
 
     @cached_property
     def failures(self) -> int:
@@ -221,7 +218,7 @@ class IdentityReport:
 
     @property
     def truncated(self) -> bool:
-        return self.failures > self.cap
+        return self.failures > COUNTEREXAMPLE_CAP
 
     @cached_property
     def records(self) -> RecordsView:
@@ -231,7 +228,7 @@ class IdentityReport:
     def counterexamples(self) -> list[PointRecord]:
         out: list[PointRecord] = []
         for block in self.columns:
-            failing = np.flatnonzero(~block.passed)[:self.cap - len(out)]
+            failing = np.flatnonzero(~block.passed)[:COUNTEREXAMPLE_CAP - len(out)]
             if len(failing):
                 out += block.records(failing)
         return out
@@ -719,36 +716,21 @@ def _columns_for(ident: Identity, p: int, r: int) -> FieldColumns | None:
                         _residual(lhs, rhs))
 
 
-def _task(args: tuple[str, int, int]) -> FieldColumns | None:
-    key, p, r = args
-    return _columns_for(identity_by_key(key), p, r)
-
-
-def _audit(idents: list[Identity], pairs: list[tuple[int, int]], cap: int,
-           jobs: int = 1) -> list[IdentityReport]:
-    """One report per identity over the fields ``pairs``, sorted by q.  The
-    (identity, field) tasks run identity-major, over ``jobs`` processes at
-    most one per core and per task; the output does not depend on the
-    schedule, as the map keeps the task order."""
-    if cap < 0:
-        raise ValueError(f"counterexample cap must be >= 0, got {cap}")
-    tasks = [(ident.key, p, r) for ident in idents for p, r in pairs]
-    # the executor forks every worker at once: no more than cores or tasks
-    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_task, tasks, chunksize=4))
-    else:
-        blocks = list(map(_task, tasks))
-    n = len(pairs)
+def _audit(idents: list[Identity], pairs: list[tuple[int, int]]) -> list[IdentityReport]:
+    """One report per identity over the fields ``pairs``, sorted by q: the
+    identities in turn, each field by field.  Each identity is looked up
+    again by key, where a tracer may wrap its ``points`` and ``evaluate``."""
     fields = f"q in {[p ** r for p, r in pairs]}"
-    return [IdentityReport(ident.key, ident.provenance, f"{ident.domain_description}; {fields}",
-                           tuple(b for b in blocks[i * n:(i + 1) * n] if b is not None), cap)
-            for i, ident in enumerate(idents)]
+    reports = []
+    for ident in (identity_by_key(i.key) for i in idents):
+        blocks = (_columns_for(ident, p, r) for p, r in pairs)
+        reports.append(IdentityReport(ident.key, ident.provenance,
+                                      f"{ident.domain_description}; {fields}",
+                                      tuple(b for b in blocks if b is not None)))
+    return reports
 
 
-def audit_identity(key: str, q_values: Iterable[int], *,
-                   cap: int = COUNTEREXAMPLE_CAP) -> IdentityReport:
+def audit_identity(key: str, q_values: Iterable[int]) -> IdentityReport:
     """Evaluate one identity exactly at every point of its domain over the
     given prime powers."""
     ident = identity_by_key(key)
@@ -758,18 +740,16 @@ def audit_identity(key: str, q_values: Iterable[int], *,
         if q not in by_q:
             raise ValueError(f"{q} is not an odd prime power")
     _check_work(q_order, [ident], f"q in {q_order}")    # the requested fields only
-    return _audit([ident], [by_q[q] for q in q_order], cap)[0]
+    return _audit([ident], [by_q[q] for q in q_order])[0]
 
 
-def sweep(q_max: int, include: str | None = None, *, jobs: int = 1,
-          cap: int = COUNTEREXAMPLE_CAP) -> list[IdentityReport]:
+def sweep(q_max: int, include: str | None = None) -> list[IdentityReport]:
     """Audit every registry identity (optionally one provenance class)
-    over all odd prime powers q <= q_max; ``jobs`` > 1 fans the
-    (identity, q) grid out over processes."""
+    over all odd prime powers q <= q_max, one identity at a time."""
     if include is not None and include not in PROVENANCES:
         raise ValueError(f"unknown provenance filter {include!r}")
     idents = [i for i in registry() if include is None or i.provenance == include]
-    return _audit(idents, capped_prime_powers(q_max, idents), cap, jobs)
+    return _audit(idents, capped_prime_powers(q_max, idents))
 
 
 # ---------------------------------------------------------------------------

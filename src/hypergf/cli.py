@@ -105,8 +105,6 @@ def _build_parser() -> _Parser:
     p_audit.add_argument("--qmax", type=int, required=True)
     p_audit.add_argument("--provenance", choices=audit_mod.PROVENANCES)
     p_audit.add_argument("--format", choices=("json", "csv"), default="json")
-    p_audit.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for --all (unused with --identity)")
 
     return parser
 
@@ -228,7 +226,7 @@ def _cmd_audit(args) -> int:
         if not args.provenance or ident.provenance == args.provenance:
             reports = [audit_mod.audit_identity(args.identity, qs)]
     else:
-        reports = audit_mod.sweep(args.qmax, include=args.provenance, jobs=args.jobs)
+        reports = audit_mod.sweep(args.qmax, include=args.provenance)
     # every refusal is raised above, before the first byte is written; a
     # stdout with no byte buffer (a StringIO in its place) takes text
     sys.stdout.flush()

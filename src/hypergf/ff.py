@@ -263,11 +263,9 @@ class FieldContext:
         return self.log.item(x)
 
 
-def q_cap(cap: int | None = None) -> int:
-    """The largest field size allowed: ``cap`` if given, else the
-    ``HYPERGF_Q_CAP`` environment variable, else 2**16."""
-    if cap is not None:
-        return cap
+def q_cap() -> int:
+    """The largest field size allowed: the ``HYPERGF_Q_CAP`` environment
+    variable if set, else 2**16."""
     env = os.environ.get(Q_CAP_ENV_VAR)
     if env is None:
         return DEFAULT_Q_CAP
@@ -277,17 +275,16 @@ def q_cap(cap: int | None = None) -> int:
         raise FieldError(f"{Q_CAP_ENV_VAR}={env!r} is not an integer") from None
 
 
-def check_field_size(p: int, r: int, cap: int | None = None) -> int:
-    """q = p**r, or :class:`FieldError` over the cap, found from r alone
-    (q >= 2**r) without forming p**r when r >= cap.bit_length()."""
-    limit = q_cap(cap)
+def check_field_size(p: int, r: int) -> int:
+    """q = p**r, or :class:`FieldError` over :func:`q_cap`, found from r
+    alone (q >= 2**r) without forming p**r when r >= the cap's bit length."""
+    limit = q_cap()
     if (abs(p) >= 2 and r >= limit.bit_length()) or p ** r > limit:
         raise FieldError(f"q = {p}**{r} exceeds the configured cap {limit}")
     return p ** r
 
 
-def make_field(p: int, r: int = 1, *, cap: int | None = None,
-               generator: int | None = None) -> FieldContext:
+def make_field(p: int, r: int = 1, *, generator: int | None = None) -> FieldContext:
     """Construct F_{p**r} deterministically.
 
     The modulus is the lexicographically smallest monic irreducible of
@@ -296,14 +293,14 @@ def make_field(p: int, r: int = 1, *, cap: int | None = None,
     confirm that final rational outputs do not depend on the choice).
 
     Raises :class:`FieldError` when p is even or composite, r < 1, or
-    q exceeds the cap (default 2**16, overridable via the ``cap``
-    argument or the ``HYPERGF_Q_CAP`` environment variable).
+    q exceeds the cap (:func:`q_cap`: 2**16 unless the ``HYPERGF_Q_CAP``
+    environment variable overrides it).
     """
     if r < 1:
         raise FieldError(f"extension degree must be >= 1, got {r}")
     if p % 2 == 0:
         raise FieldError(f"characteristic must be odd, got p={p}")
-    q = check_field_size(p, r, cap)          # before the primality test
+    q = check_field_size(p, r)          # before the primality test
     if not is_prime(p):
         raise FieldError(f"p={p} is not prime")
 

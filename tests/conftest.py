@@ -1,16 +1,9 @@
-from functools import lru_cache
-
 import pytest
 
-from hypergf import make_field
-
-
-@lru_cache(maxsize=None)
-def _field(p, r=1):
-    return make_field(p, r)
+from hypergf import audit
 
 
 @pytest.fixture
 def field():
-    """Memoized field constructor shared across the whole test session."""
-    return _field
+    """The audit's field cache, shared across the whole test session."""
+    return lambda p, r=1: audit.cached_field(p, r)

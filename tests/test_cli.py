@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypergf
 from hypergf import audit, ff, hyp
 from hypergf.cli import run
 
@@ -170,12 +175,13 @@ def test_usage_errors(capsys):
     (None, ["field", "--p", "3", "--r", "3000000"]),
     (None, ["evalnfn", "--p", "3", "--r", "3000000", "--top", "1", "--x", "1"]),
     (None, ["special", "--p", "1000000000000000009"]),
+    (None, ["audit", "--all", "--qmax", "5", "--jobs", "2"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
         "audit-over-work-budget", "identity-over-work-budget",
         "evalnfn-not-rational", "evalnfn-order-3-column-too-large",
         "field-p-over-cap", "field-r-over-cap", "evalnfn-r-over-cap",
-        "special-p-over-cap"])
+        "special-p-over-cap", "audit-jobs-removed"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []
     monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
@@ -210,9 +216,21 @@ def test_audit_exit_codes(capsys):
 
 def test_audit_csv_and_jobs(capsys):
     code, out, _ = _run(capsys, "audit", "--identity", "C1", "--qmax", "5",
-                        "--format", "csv", "--jobs", "2")
+                        "--format", "csv")
     assert code == 0
     assert out.startswith("identity,q,a,b,lambda,lhs,rhs,residual,pass")
+
+
+def test_import_loads_no_process_pool():
+    # the audit runs in the calling process: importing the package and its
+    # CLI pulls in neither multiprocessing nor concurrent.futures
+    src = str(Path(hypergf.__file__).resolve().parent.parent)
+    code = ("import sys, hypergf, hypergf.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_repeat_runs_byte_identical(capsys):

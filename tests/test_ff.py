@@ -35,12 +35,11 @@ def test_cap_enforced(monkeypatch):
     with pytest.raises(FieldError, match="cap"):
         make_field(257, 2)       # 66049 > 2**16
     assert make_field(251, 2).q == 63001   # just inside the default cap
-    with pytest.raises(FieldError, match="cap"):
-        make_field(101, cap=100)
     monkeypatch.setenv("HYPERGF_Q_CAP", "100")
     with pytest.raises(FieldError, match="cap"):
         make_field(101)
-    assert make_field(101, cap=200).q == 101  # explicit cap wins over env
+    monkeypatch.setenv("HYPERGF_Q_CAP", "200")
+    assert make_field(101).q == 101
 
 
 def test_f9_modulus_and_square_root_of_minus_one(field):
