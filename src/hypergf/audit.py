@@ -55,7 +55,7 @@ import numpy as np
 from . import curves, hyp
 from .chars import phi_at_minus_one, quadratic_character, trivial_character
 from .ff import (FieldContext, FieldError, make_field, numpy_tables, odd_prime_powers,
-                 q_cap)
+                 per_field, prime_factors, q_cap)
 from .hyp import two_f_one
 
 PROVENANCES = ("printed", "corrected", "greene", "ono")
@@ -246,7 +246,7 @@ _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 WORK_BUDGET = 2 ** 25
 
 # every numerator the evaluators form over F_q, residuals included, is
-# below 4 q^3 in absolute value (see _check_headroom); audits are refused
+# below 4 q^3 in absolute value (see _check_limits); audits are refused
 # unless that stays below 2^62, so the difference of two still fits int64
 _SAFE_INT64 = 2 ** 62
 
@@ -279,16 +279,11 @@ def _times(value: Fraction, k: int) -> int:
     return num
 
 
+@per_field
 def _series_column(ctx: FieldContext) -> np.ndarray:
-    """q F(lambda) at every lambda code by :func:`two_f_one`, read-only and
-    cached with the field."""
-    col = ctx._cache.get("series_column")
-    if col is None:
-        col = np.array([_times(two_f_one(ctx, lam), ctx.q) for lam in range(ctx.q)],
-                       dtype=np.int64)
-        col.flags.writeable = False
-        ctx._cache["series_column"] = col
-    return col
+    """q F(lambda) at every lambda code by :func:`two_f_one`."""
+    return np.array([_times(two_f_one(ctx, lam), ctx.q) for lam in range(ctx.q)],
+                    dtype=np.int64)
 
 
 def _rows(params) -> np.ndarray:
@@ -655,24 +650,15 @@ def capped_prime_powers(q_max: int,
     """All (p, r) with p an odd prime and p**r <= q_max, sorted by q.
     Raises :class:`FieldError` first if q_max exceeds the field-size cap
     that :func:`make_field` enforces, if int64 columns cannot hold the
-    audit (:func:`_check_headroom`), or if auditing ``identities`` (by
+    audit (:func:`_check_limits`), or if auditing ``identities`` (by
     default the whole registry) over those fields would exceed
     :data:`WORK_BUDGET`; so no audit starts that would stop at its
     largest field or run without a bound."""
-    pairs = _fields_up_to(q_max)
+    _check_limits(q_max)
+    pairs = odd_prime_powers(q_max)
     _check_work([p ** r for p, r in pairs], registry() if identities is None else identities,
                 f"q <= {q_max}")
     return pairs
-
-
-def _fields_up_to(q_max: int) -> list[tuple[int, int]]:
-    """:func:`odd_prime_powers` up to q_max, after the field-size cap and
-    :func:`_check_headroom`."""
-    limit = q_cap()
-    if q_max > limit:
-        raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
-    _check_headroom(q_max)
-    return odd_prime_powers(q_max)
 
 
 def _check_work(qs: list[int], identities: Iterable[Identity], where: str) -> None:
@@ -688,9 +674,9 @@ def _check_work(qs: list[int], identities: Iterable[Identity], where: str) -> No
                          f"q^{degree}), over the work budget of {WORK_BUDGET}")
 
 
-def _check_headroom(q_max: int) -> None:
-    """Raise :class:`FieldError` unless int64 columns hold an audit over
-    every F_q with q <= q_max.
+def _check_limits(q_max: int) -> None:
+    """Raise :class:`FieldError` unless q_max is within the field-size cap
+    and int64 columns hold an audit over every F_q with q <= q_max.
 
     Counts are at most q^2 + 4, |q F(lambda)| <= q and phi is +-1, so
     every lhs and rhs numerator over its denominator (1, q, q-1, q^2 or
@@ -699,6 +685,9 @@ def _check_headroom(q_max: int) -> None:
     evaluator; their conversion and the residual rescaling check
     themselves (:func:`_scaled`).
     """
+    limit = q_cap()
+    if q_max > limit:
+        raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
     if 4 * q_max ** 3 >= _SAFE_INT64:
         raise FieldError(f"q={q_max} is too large for exact int64 audit columns: "
                          f"numerators reach 4q^3 = {4 * q_max ** 3} >= 2^62")
@@ -732,15 +721,23 @@ def _audit(idents: list[Identity], pairs: list[tuple[int, int]]) -> list[Identit
 
 def audit_identity(key: str, q_values: Iterable[int]) -> IdentityReport:
     """Evaluate one identity exactly at every point of its domain over the
-    given prime powers."""
+    given prime powers, whose limits are checked before any is factored."""
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
-    by_q = {p ** r: (p, r) for p, r in _fields_up_to(max(q_order, default=0))}
-    for q in q_order:
-        if q not in by_q:
-            raise ValueError(f"{q} is not an odd prime power")
-    _check_work(q_order, [ident], f"q in {q_order}")    # the requested fields only
-    return _audit([ident], [by_q[q] for q in q_order])[0]
+    _check_limits(max(q_order, default=0))
+    _check_work(q_order, [ident], f"q in {q_order}")
+    return _audit([ident], [_odd_prime_power(q) for q in q_order])[0]
+
+
+def _odd_prime_power(q: int) -> tuple[int, int]:
+    """(p, r) with q = p**r and p an odd prime, else ValueError."""
+    factors = prime_factors(q)
+    if len(factors) != 1 or factors[0] == 2:
+        raise ValueError(f"{q} is not an odd prime power")
+    p, r = factors[0], 1
+    while p ** r < q:
+        r += 1
+    return p, r
 
 
 def sweep(q_max: int, include: str | None = None) -> list[IdentityReport]:

@@ -33,11 +33,10 @@ with their exceptional loci counted rather than skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
-from .ff import BLOCK_CELLS, FieldContext, NumpyTables, numpy_tables
+from .ff import BLOCK_CELLS, FieldContext, NumpyTables, numpy_tables, per_field
 
 
 class ParameterError(ValueError):
@@ -216,21 +215,6 @@ def count_general_huff_quartic(ctx: FieldContext,
 # whole families, counted once per field
 # ---------------------------------------------------------------------------
 
-def _per_field(build):
-    """Memoize ``build(ctx)`` in ``ctx._cache`` as a read-only table."""
-    key = build.__name__
-
-    @wraps(build)
-    def family(ctx: FieldContext) -> np.ndarray:
-        table = ctx._cache.get(key)
-        if table is None:
-            table = build(ctx)
-            table.flags.writeable = False
-            ctx._cache[key] = table
-        return table
-    return family
-
-
 def _rows_over_a(q: int, cells: int, rows) -> np.ndarray:
     """A (q, q) table whose rows a >= 1 are ``rows(a)`` for blocks of
     consecutive a's, ``cells`` int64 cells per a.  Row 0 is left unset."""
@@ -247,7 +231,7 @@ def _excluded_ab(table: np.ndarray, bad_pair: np.ndarray) -> np.ndarray:
     return table
 
 
-@_per_field
+@per_field
 def general_huff_family(ctx: FieldContext) -> np.ndarray:
     """``count_general_huff(ctx, GeneralHuffParams(a, b)).total`` at
     ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
@@ -269,7 +253,7 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
     return _excluded_ab(_rows_over_a(q, len(slope), rows), np.eye(q, dtype=bool))
 
 
-@_per_field
+@per_field
 def huff_family(ctx: FieldContext) -> np.ndarray:
     """``count_huff(ctx, HuffParams(a, b)).total`` at ``[a, b]`` for every
     (a, b), -1 where the parameters are invalid."""
@@ -290,7 +274,7 @@ def huff_family(ctx: FieldContext) -> np.ndarray:
     return _excluded_ab(table, t.sq[:, None] == t.sq[None, :])
 
 
-@_per_field
+@per_field
 def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
     """``count_edwards_affine(ctx, EdwardsParams(d2))`` at ``[d2]`` for
     every d2, -1 at d2 in {0, 1}."""
@@ -307,7 +291,7 @@ def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
     return table
 
 
-@_per_field
+@per_field
 def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     """``count_weierstrass(ctx, WeierstrassParams(a, b)).total`` at
     ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
@@ -322,7 +306,7 @@ def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     return _excluded_ab(_rows_over_a(q, q * q, rows), np.eye(q, dtype=bool))
 
 
-@_per_field
+@per_field
 def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
     """``count_general_huff_quartic(ctx, GeneralHuffParams(a, b)).total``
     at ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""

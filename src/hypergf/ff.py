@@ -19,11 +19,17 @@ reproducible across runs.  The exp/log arrays are filled by doubling:
 multiplication by an element is an r x r matrix over F_p, so the powers
 gen**m .. gen**(2m-1) are the first m powers times the matrix of gen**m,
 about log2(q) numpy steps.
+
+Arithmetic runs on that store alone (:class:`NumpyTables`; the scalar
+methods call its kernels), and digits serve only I/O, the modulus search
+and the fill.  1 is the top digit c_0 = 1, at place value ``one``, so
+1 + y has code ``(y + one) % q``, and a + b = a (1 + b/a) for a != 0.
 """
 
 from __future__ import annotations
 
 import os
+from functools import wraps
 from math import isqrt
 
 import numpy as np
@@ -103,8 +109,7 @@ def _weights(p: int, r: int) -> list[int]:
 
 
 def _digits(code, weights) -> list:
-    """Digits (c_0, ..., c_{r-1}) of an element code, or of a numpy
-    array of codes (one digit array per weight)."""
+    """Digits (c_0, ..., c_{r-1}) of an element code."""
     out = []
     for w in weights:
         out.append(code // w)
@@ -228,27 +233,25 @@ class FieldContext:
         """All q element codes in canonical (lexicographic) order."""
         return list(range(self.q))
 
-    # -- arithmetic: operands pass check_code (through coeffs for the
-    #    additive ones), since -1 would index the arrays' last code
+    # -- arithmetic: the table kernels on checked codes (-1 reads the last)
 
     def add(self, a: int, b: int) -> int:
-        return self.from_coeffs([ca + cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
+        return int(numpy_tables(self).vadd(self.check_code(a), self.check_code(b)))
 
     def sub(self, a: int, b: int) -> int:
-        return self.from_coeffs([ca - cb for ca, cb in zip(self.coeffs(a), self.coeffs(b))])
+        return int(numpy_tables(self).vsub(self.check_code(a), self.check_code(b)))
 
     def neg(self, a: int) -> int:
-        return self.from_coeffs([-c for c in self.coeffs(a)])
+        return int(numpy_tables(self).neg_[self.check_code(a)])
 
     def mul(self, a: int, b: int) -> int:
-        if 0 in (self.check_code(a), self.check_code(b)):
-            return 0
-        return self.exp.item((self.log.item(a) + self.log.item(b)) % (self.q - 1))
+        return int(numpy_tables(self).vmul(self.check_code(a), self.check_code(b)))
 
     def inv(self, a: int) -> int:
+        # refused here, so the kernel's array-wide zero test is not paid per scalar
         if self.check_code(a) == 0:
             raise ZeroDivisionError("inverse of zero in finite field")
-        return self.exp.item(-self.log.item(a) % (self.q - 1))
+        return int(numpy_tables(self).inv_[a])
 
     def pow(self, a: int, e: int) -> int:
         """a**e by square-and-multiply, e >= 0."""
@@ -349,29 +352,48 @@ def make_field(p: int, r: int = 1, *, generator: int | None = None) -> FieldCont
 
 
 # ---------------------------------------------------------------------------
-# derived numpy tables, built lazily per field and shared by the counting
-# and character-sum kernels
+# derived tables, built lazily per field: the array kernels and every table
+# the counting, character-sum and audit layers keep with a field
 # ---------------------------------------------------------------------------
+
+def per_field(build):
+    """``build(ctx)``, kept in ``ctx._cache`` under build's name; arrays read-only."""
+    key = build.__name__
+
+    @wraps(build)
+    def memo(ctx: FieldContext):
+        value = ctx._cache.get(key)
+        if value is None:
+            value = ctx._cache[key] = build(ctx)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return value
+    return memo
+
 
 class NumpyTables:
     """Vectorized views of one field: the context's own log/exp arrays
-    (``log_[0]`` is 0 and must always be masked), negation, squares, the
-    number-of-square-roots table, quadratic-character values, and the
-    codes of 1-x.
+    (``log_[0]`` is 0 and must always be masked), inverses, negation,
+    squares, the number-of-square-roots table, quadratic-character values,
+    and the codes of 1-x.
 
     Products go through one padded table, read-only like the store it is
     derived from: ``mlog`` is ``log_`` with code 0 sent to 2n-1, and
     ``mexp`` is ``exp_`` repeated to length 2n-1 followed by 2n zeros, so
     ``mexp[mlog[a] + mlog[b]]`` is a*b for every pair of codes, zeros
-    included, with no reduction mod n and no mask."""
+    included, with no reduction mod n and no mask.
 
-    __slots__ = ("q", "n", "log_", "exp_", "mlog", "mexp", "neg_", "sq", "nsqrt",
-                 "phi", "one_minus", "digits", "weights", "p")
+    Sums follow the module's 1 + y rule, a + b = a ((b inv_[a] + one) % q),
+    plus b where a = 0 (``inv_[0]`` is 0).  Prime fields (``one`` = 1) add
+    residue codes instead: 4-5 times faster than the two products."""
+
+    __slots__ = ("q", "n", "one", "log_", "exp_", "mlog", "mexp", "inv_", "neg_",
+                 "sq", "nsqrt", "phi", "one_minus")
 
     def __init__(self, ctx: FieldContext):
-        q, p = ctx.q, ctx.p
-        self.q, self.p = q, p
+        q = self.q = ctx.q
         n = self.n = q - 1
+        self.one = ctx.one
         self.log_ = ctx.log
         self.exp_ = ctx.exp
         # a log sum of two nonzero codes is at most 2n-2; one with a zero
@@ -381,24 +403,22 @@ class NumpyTables:
         self.mexp = np.concatenate([ctx.exp, ctx.exp[:n - 1], np.zeros(2 * n, np.int64)])
         self.mlog.flags.writeable = self.mexp.flags.writeable = False
         codes = np.arange(q)
-        self.digits = np.stack(_digits(codes, ctx._pow_weights), axis=1)
-        self.weights = np.array(ctx._pow_weights, dtype=np.int64)
-        self.neg_ = ((-self.digits) % p) @ self.weights
+        # n - mlog[0] = 1 - n reads mexp's zeros from the end
+        self.inv_ = self.mexp[n - self.mlog]
+        self.neg_ = self.vmul(codes, ctx.exp[n // 2])       # gen**(n/2) = -1
         self.sq = self.vmul(codes, codes)
         self.nsqrt = np.bincount(self.sq, minlength=q)
         self.phi = 1 - 2 * (self.log_ % 2)
         self.phi[0] = 0
-        self.one_minus = self.vadd(ctx.one, self.neg_)
+        self.one_minus = (self.neg_ + self.one) % q
 
     def vadd(self, a, b):
-        if self.q == self.p:                  # prime-field codes are residues
-            return (a + b) % self.p
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self.weights
+        if self.one == 1:                     # prime-field codes are residues
+            return (a + b) % self.q
+        return self.vmul(a, (self.vmul(b, self.inv_[a]) + self.one) % self.q) + (a == 0) * b
 
     def vsub(self, a, b):
-        if self.q == self.p:
-            return (a - b) % self.p
-        return ((self.digits[a] - self.digits[b]) % self.p) @ self.weights
+        return self.vadd(a, self.neg_[b])
 
     def vmul(self, a, b):
         return self.mexp[self.mlog[a] + self.mlog[b]]
@@ -407,11 +427,9 @@ class NumpyTables:
         """1/a for nonzero codes a; ZeroDivisionError if any code is 0."""
         if not np.all(a):
             raise ZeroDivisionError("inverse of zero in finite field")
-        return self.exp_[(-self.log_[a]) % self.n]
+        return self.inv_[a]
 
 
+@per_field
 def numpy_tables(ctx: FieldContext) -> NumpyTables:
-    tables = ctx._cache.get("numpy_tables")
-    if tables is None:
-        tables = ctx._cache["numpy_tables"] = NumpyTables(ctx)
-    return tables
+    return NumpyTables(ctx)

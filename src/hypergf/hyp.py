@@ -222,10 +222,8 @@ def _sign_planes(ctx: FieldContext) -> tuple:
     of bits 1..n-1, U's bytes (little-endian), and the value per numerator
     (empty)."""
     n = ctx.q - 1
-    # 1 is c_0 = 1, and c_0 has the top place value ctx.one: taking 1 from
-    # c_0 mod p takes ``one`` from the code mod q, so g**j - 1 has code
-    # (exp[j] - one) % q.  Bit j of U is set iff u[j] = phi(g**j - 1) = -1;
-    # bit 0 is clear, as log[0] = 0.
+    # g**j - 1 has code (exp[j] - one) % q by the ff module's 1 + y rule.
+    # Bit j of U is set iff u[j] = phi(g**j - 1) = -1; bit 0 is clear, as log[0] = 0.
     par = ctx.log[(ctx.exp - ctx.one) % ctx.q] % 2
     u_bytes = np.packbits(par, bitorder="little").tobytes()
     u = int.from_bytes(u_bytes, "little")

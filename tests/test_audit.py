@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _audit_referee import REFEREE
-from hypergf import (FieldError, audit_identity, emit, emit_chunks, identity_by_key, registry,
-                     sweep)
+from hypergf import (FieldError, audit, audit_identity, emit, emit_chunks, identity_by_key,
+                     registry, sweep)
 from hypergf.audit import (_FIELD_CACHE, PROVENANCES, Column, _columns_for, _residual,
                            _scaled, cached_field, capped_prime_powers)
 from hypergf.cli import run
@@ -60,11 +60,19 @@ def test_unknown_identity_rejected():
         audit_identity("nope", [5])
 
 
-def test_bad_q_rejected():
-    with pytest.raises(ValueError, match="prime"):
-        audit_identity("C1", [4])
-    with pytest.raises(ValueError, match="prime"):
-        audit_identity("C1", [15])
+def _no_field_listing(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("audit_identity listed the prime powers")
+    monkeypatch.setattr(audit, "odd_prime_powers", refuse)
+
+
+def test_bad_q_rejected(monkeypatch):
+    # each requested q is recognised by factoring it, not from a listing
+    _no_field_listing(monkeypatch)
+    for bad in (0, 1, 2, 4, 8, 15, 45, 2 * 3 ** 3):
+        with pytest.raises(ValueError, match="not an odd prime power"):
+            audit_identity("C1", [bad])
+    assert audit_identity("C1", [3, 9]).status == "PASS"
 
 
 def test_t41_residuals_at_q5():
@@ -300,7 +308,7 @@ def test_work_budget_edge():
     assert capped_prime_powers(156, [identity_by_key("C1")])[-1] == (151, 1)
 
 
-def test_audit_identity_budget_counts_the_requested_fields_only():
+def test_audit_identity_budget_counts_the_requested_fields_only(monkeypatch):
     # one field past the sweep edges above: C1 over F_157 alone is
     # 157^3 = 3.9e6 cells, G-reflect over F_853 alone 853^2 = 7.3e5
     assert audit_identity("C1", [157]).status == "PASS"
@@ -316,6 +324,11 @@ def test_audit_identity_budget_counts_the_requested_fields_only():
     # refused before any field is built
     refused = {(311, 1), (313, 1), (331, 1), (4099, 1), (4111, 1), (5801, 1)}
     assert not refused & set(_FIELD_CACHE)
+    # and before any listing of the prime powers below the requested q
+    _no_field_listing(monkeypatch)
+    monkeypatch.setenv("HYPERGF_Q_CAP", str(10 ** 7))
+    with pytest.raises(FieldError, match="budget"):
+        audit_identity("G-reflect", [999983])
 
 
 def test_sweep81_emit_is_pinned():

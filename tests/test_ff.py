@@ -207,24 +207,41 @@ def test_one_store_read_only(field):
         assert type(ctx.mul(2, 3)) is int and type(ctx.dlog(2)) is int
 
 
+# ---------------------------------------------------------------------------
+# the kernels, which the scalar methods call too, against the referees:
+# digit-wise sums through the codec and schoolbook products
+# ---------------------------------------------------------------------------
+
+def _digitwise(ctx, a, b, sign):
+    return ctx.from_coeffs([ca + sign * cb for ca, cb in zip(ctx.coeffs(a), ctx.coeffs(b))])
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3)])
 def test_vmul_equals_scalar_mul_on_every_pair(p, r, field):
     ctx = field(p, r)
     codes = np.arange(ctx.q)
-    got = numpy_tables(ctx).vmul(codes[:, None], codes[None, :])
-    assert got.tolist() == [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)]
+    expected = [[referee.mul_codes(p, ctx.modulus, a, b) for b in range(ctx.q)]
+                for a in range(ctx.q)]
+    assert numpy_tables(ctx).vmul(codes[:, None], codes[None, :]).tolist() == expected
+    assert [[ctx.mul(a, b) for b in range(ctx.q)] for a in range(ctx.q)] == expected
+    assert type(ctx.mul(2, 2)) is int
 
 
-@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
 def test_vadd_vsub_equal_scalar_on_every_pair(p, r, field):
-    # prime fields add residues, extensions add digit vectors
+    # prime fields add residues, extensions go through products
     ctx = field(p, r)
     t, codes = numpy_tables(ctx), np.arange(ctx.q)
     pairs = [(a, b) for a in range(ctx.q) for b in range(ctx.q)]
-    for vop, op in ((t.vadd, ctx.add), (t.vsub, ctx.sub)):
-        assert vop(codes[:, None], codes[None, :]).ravel().tolist() == [
-            op(a, b) for a, b in pairs]
-        assert [int(vop(a, b)) for a, b in pairs] == [op(a, b) for a, b in pairs]
+    for vop, op, sign in ((t.vadd, ctx.add, 1), (t.vsub, ctx.sub, -1)):
+        expected = [_digitwise(ctx, a, b, sign) for a, b in pairs]
+        assert vop(codes[:, None], codes[None, :]).ravel().tolist() == expected
+        assert [op(a, b) for a, b in pairs] == expected
+    negated = [_digitwise(ctx, 0, a, -1) for a in range(ctx.q)]
+    assert t.neg_.tolist() == [ctx.neg(a) for a in range(ctx.q)] == negated
+    assert t.one_minus.tolist() == [_digitwise(ctx, ctx.one, a, -1) for a in range(ctx.q)]
+    assert all(type(op(2, 1)) is int for op in (ctx.add, ctx.sub))
+    assert type(ctx.neg(2)) is int
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
@@ -232,12 +249,37 @@ def test_vinv_equals_scalar_inv_and_refuses_zero(p, r, field):
     ctx = field(p, r)
     t = numpy_tables(ctx)
     nonzero = np.arange(1, ctx.q)
-    assert t.vinv(nonzero).tolist() == [ctx.inv(a) for a in range(1, ctx.q)]
+    inverses = t.vinv(nonzero).tolist()
+    assert inverses == [ctx.inv(a) for a in range(1, ctx.q)]
+    assert all(referee.mul_codes(p, ctx.modulus, a, x) == ctx.one
+               for a, x in enumerate(inverses, start=1))
+    assert type(ctx.inv(2)) is int
     for zero in (0, np.int64(0), np.arange(ctx.q), nonzero[None, :] - 1):
         with pytest.raises(ZeroDivisionError):
             t.vinv(zero)
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
+
+
+@pytest.mark.parametrize("p,r", [(7, 5), (3, 10)])
+def test_kernels_equal_referees_on_a_sample(p, r):
+    ctx = make_field(p, r)
+    t = numpy_tables(ctx)
+    rng = np.random.default_rng(p * 100 + r)
+    a, b = rng.integers(0, ctx.q, (2, 100_000))
+    a[:100] = 0                               # zero operands on either side
+    b[100:200] = 0
+    weights = [p ** (r - 1 - i) for i in range(r)]
+    da, db = (np.stack([x // w % p for w in weights], axis=1) for x in (a, b))
+    assert np.array_equal(t.vadd(a, b), ((da + db) % p) @ weights)
+    assert np.array_equal(t.vsub(a, b), ((da - db) % p) @ weights)
+    assert np.array_equal(t.neg_[a], ((-da) % p) @ weights)
+    got = t.vmul(a, b)
+    for i in range(0, len(a), 100):           # the schoolbook product is slow
+        assert got[i] == referee.mul_codes(p, ctx.modulus, int(a[i]), int(b[i]))
+    nonzero = a[a != 0][::100]
+    assert all(referee.mul_codes(p, ctx.modulus, int(x), int(y)) == ctx.one
+               for x, y in zip(nonzero, t.vinv(nonzero)))
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2)])
