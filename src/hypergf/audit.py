@@ -30,10 +30,11 @@ of :mod:`hypergf.curves`, the field's :class:`NumpyTables` and one
 per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
 and pass flags are integer column arithmetic, and a report's status
 comes from its count of failing rows.  :func:`emit_chunks` renders rows
-straight from the columns, one byte chunk per (identity, field) block, and
-``Fraction`` appears only in ``PointRecord``s: those a report's
-``records`` view builds one block at a time as it is read, and its
-capped ``counterexamples``.
+straight from the columns, a run of one identity's blocks at a time with
+each distinct (block, lhs, rhs) formatted once, and yields one byte chunk
+per (identity, field) block.  ``Fraction`` appears only in
+``PointRecord``s: those a report's ``records`` view builds one block at
+a time as it is read, and its capped ``counterexamples``.
 """
 
 from __future__ import annotations
@@ -73,16 +74,6 @@ class Column:
     def fractions(self) -> list[Fraction]:
         """Every entry as a Fraction, one object per distinct numerator."""
         return self._per_distinct(lambda nums: [Fraction(n, self.den) for n in nums]).tolist()
-
-    def labelled(self, gap: str) -> np.ndarray:
-        """Every entry as ``gap`` followed by "num/den" in lowest terms, as
-        Fraction keeps it, in an object array; one string per distinct
-        numerator."""
-        def render(nums):
-            g = np.gcd(nums, self.den)
-            return [f"{gap}{n}/{d}"
-                    for n, d in zip((nums // g).tolist(), (self.den // g).tolist())]
-        return self._per_distinct(render)
 
     def _per_distinct(self, make) -> np.ndarray:
         """``make(distinct numerators)``, one value per distinct numerator,
@@ -318,36 +309,60 @@ def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(mask)
 
 
+# Every domain is built once per field (ff.per_field keys it by its name):
+# the two (a, b) domains serve 14 identities in each field.
+
+@per_field
 def _points_ab(ctx: FieldContext) -> np.ndarray:
     codes = np.arange(ctx.q)
     return _nonzero_pairs(codes[:, None] != codes[None, :])
 
 
+@per_field
 def _points_huff_ab(ctx: FieldContext) -> np.ndarray:
     sq = numpy_tables(ctx).sq
     return _nonzero_pairs(sq[:, None] != sq[None, :])
 
 
-def _points_lambda(banned: Callable[[FieldContext], list[int]]):
-    def points(ctx: FieldContext) -> np.ndarray:
-        keep = np.ones(ctx.q, dtype=bool)
-        keep[banned(ctx)] = False
-        return np.flatnonzero(keep)[:, None]
-    return points
+@per_field
+def _points_none(ctx: FieldContext) -> np.ndarray:
+    """One point with no parameters."""
+    return np.zeros((1, 0), dtype=np.int64)
 
 
-def _points_roots(squares: Callable[[FieldContext], list[int]]):
-    def points(ctx: FieldContext) -> np.ndarray:
-        return np.flatnonzero(np.isin(numpy_tables(ctx).sq, squares(ctx)))[:, None]
-    return points
+def _lambdas_except(ctx: FieldContext, banned: list[int]) -> np.ndarray:
+    keep = np.ones(ctx.q, dtype=bool)
+    keep[banned] = False
+    return np.flatnonzero(keep)[:, None]
 
 
-_points_lambda_not_0_pm1 = _points_lambda(lambda ctx: [ctx.zero, ctx.one, ctx.neg(ctx.one)])
-_points_lambda_not_0_1 = _points_lambda(lambda ctx: [ctx.zero, ctx.one])
-_points_lambda_not_one = _points_lambda(lambda ctx: [ctx.one])
-_points_sqrt_minus_one = _points_roots(lambda ctx: [ctx.neg(ctx.one)])
-_points_sqrt_two_or_half = _points_roots(
-    lambda ctx: [ctx.element(2), ctx.inv(ctx.element(2))])
+def _roots_of(ctx: FieldContext, squares: list[int]) -> np.ndarray:
+    return np.flatnonzero(np.isin(numpy_tables(ctx).sq, squares))[:, None]
+
+
+@per_field
+def _points_lambda_not_0_pm1(ctx: FieldContext) -> np.ndarray:
+    return _lambdas_except(ctx, [ctx.zero, ctx.one, ctx.neg(ctx.one)])
+
+
+@per_field
+def _points_lambda_not_0_1(ctx: FieldContext) -> np.ndarray:
+    return _lambdas_except(ctx, [ctx.zero, ctx.one])
+
+
+@per_field
+def _points_lambda_not_one(ctx: FieldContext) -> np.ndarray:
+    return _lambdas_except(ctx, [ctx.one])
+
+
+@per_field
+def _points_sqrt_minus_one(ctx: FieldContext) -> np.ndarray:
+    return _roots_of(ctx, [ctx.neg(ctx.one)])
+
+
+@per_field
+def _points_sqrt_two_or_half(ctx: FieldContext) -> np.ndarray:
+    return _roots_of(ctx, [ctx.element(2), ctx.inv(ctx.element(2))])
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +633,7 @@ def _build_registry() -> list[Identity]:
         "F(-1) over a prime field (lhs, series) = the two-squares closed "
         "form (0 when p = 3 mod 4)",
         "odd primes",
-        (), lambda ctx: np.zeros((1, 0), dtype=np.int64), ominus1, admissible=_primes())
+        (), _points_none, ominus1, admissible=_primes())
 
     return ids
 
@@ -760,7 +775,13 @@ _CRLF = "\r\n"
 # A record is the text of its k parameter values and its three sides, each
 # behind a fixed gap, then the pass flag with the record's closing text.
 # ``_json_gaps`` and ``_csv_gaps`` give the k + 3 gaps and the two closings
-# (failing, passing) of one (identity, field) block.
+# (failing, passing) of one (identity, field) block.  Only the first gap
+# names the field; the lhs gap is the first when k = 0.
+
+# an identity's consecutive blocks are rendered together in runs of at most
+# this many rows.  A run's pieces are held at once: the tracemalloc peak of
+# emit(sweep(49), "csv") is 1.25 times its output at 2**13 rows, 1.34 at 2**15
+_RUN_ROWS = 2 ** 13
 
 
 def _json_gaps(key: str, q: int, names: tuple[str, ...]):
@@ -782,19 +803,6 @@ def _csv_gaps(key: str, q: int, names: tuple[str, ...]):
             gaps.append(text)
             text = ""
     return gaps + [text + ",", ",", ","], (",false" + _CRLF, ",true" + _CRLF)
-
-
-def _block_text(block: FieldColumns, gaps: list[str], closings: tuple[str, str]) -> str:
-    """Every record of the block: each piece a gather from an object array
-    of finished strings, one per parameter value or distinct numerator,
-    interleaved row by row and joined once."""
-    codes = range(block.q)
-    pieces = [np.array([f"{gap}{v}" for v in codes], dtype=object)[col]
-              for gap, col in zip(gaps, block.params.T)]
-    pieces += [side.labelled(gap) for gap, side in
-               zip(gaps[len(pieces):], (block.lhs, block.rhs, block.residual))]
-    pieces.append(np.array(closings, dtype=object)[block.passed.astype(np.intp)])
-    return "".join(np.stack(pieces, axis=1).ravel().tolist())
 
 
 def _csv_line(cells) -> str:
@@ -830,7 +838,8 @@ _FORMATS = {
 def emit_chunks(reports: list[IdentityReport], format: str = "json") -> Iterator[bytes]:
     """:func:`emit` as a stream of byte chunks: the JSON ``[`` or the CSV
     header, one chunk per (identity, field) block, one per summary record,
-    then the JSON ``]``.  Holds one block's text at a time."""
+    then the JSON ``]``.  Holds one run of blocks' text at a time (at most
+    :data:`_RUN_ROWS` rows, or one larger block)."""
     if format not in _FORMATS:
         raise ValueError(f"unknown format {format!r}")
     return _chunks(reports, *_FORMATS[format])
@@ -850,12 +859,87 @@ def _record_texts(reports, separator, gaps, summary) -> Iterator[str]:
     """Each block's records, then the summary record, per report; every
     record opens with the separator."""
     for rep in reports:
-        for block in rep.columns:
-            if len(block.params):
-                block_gaps, closings = gaps(rep.identity, block.q, block.param_names)
-                block_gaps[0] = separator + block_gaps[0]
-                yield _block_text(block, block_gaps, closings)
+        for run in _runs(rep.columns):
+            yield from _run_texts(rep.identity, run, separator, gaps)
         yield separator + summary(rep)
+
+
+def _runs(blocks: Iterable[FieldColumns]) -> Iterator[list[FieldColumns]]:
+    """The nonempty blocks in order, in runs of at most :data:`_RUN_ROWS`
+    rows; a larger block is a run alone."""
+    run: list[FieldColumns] = []
+    rows = 0
+    for block in blocks:
+        n = len(block.params)
+        if run and rows + n > _RUN_ROWS:
+            yield run
+            run, rows = [], 0
+        if n:
+            run.append(block)
+            rows += n
+    if run:
+        yield run
+
+
+def _run_texts(identity: str, run: list[FieldColumns], separator: str, gaps) -> Iterator[str]:
+    """The records of each block of one identity's run, one text per block.
+    A record is k + 1 pieces, each a gather from an object array of finished
+    strings: the first parameter behind its block's opening gap (with the
+    separator), each further parameter behind its gap, and the rest of the
+    record, lhs gap to closing (:func:`_sides`).  The pieces are interleaved
+    once per run and joined once per block, with no per-row Python."""
+    texts = [gaps(identity, block.q, block.param_names) for block in run]
+    for block_gaps, _ in texts:
+        block_gaps[0] = separator + block_gaps[0]
+    k = len(run[0].param_names)
+    (*param_gaps, _, rhs_gap, res_gap), closings = texts[0]
+    sizes = [len(block.params) for block in run]
+    which = np.repeat(np.arange(len(run)), sizes)
+    pieces = []
+    if k:
+        params = np.concatenate([block.params for block in run])
+        qs = [block.q for block in run]
+        firsts = np.array([f"{block_gaps[0]}{v}" for (block_gaps, _), q in zip(texts, qs)
+                           for v in range(q)], dtype=object)
+        starts = np.cumsum([0, *qs[:-1]])
+        pieces.append(firsts[starts[which] + params[:, 0]])
+        codes = range(max(qs))
+        pieces += [np.array([f"{gap}{v}" for v in codes], dtype=object)[col]
+                   for gap, col in zip(param_gaps[1:], params[:, 1:].T)]
+    leads = [block_gaps[k] for block_gaps, _ in texts]
+    pieces.append(_sides(run, which, leads, rhs_gap, res_gap, closings))
+    flat = np.stack(pieces, axis=1).ravel().tolist()
+    end = 0
+    for n in sizes:
+        start, end = end, end + n * len(pieces)
+        yield "".join(flat[start:end])
+
+
+def _sides(run, which, leads, rhs_gap, res_gap, closings) -> np.ndarray:
+    """Each row's text from its block's lhs gap (``leads``) through its
+    closing, in an object array.  The residual and pass flag follow from
+    the block, lhs and rhs, so each distinct (block, lhs, rhs), keyed by
+    the dense ranks of the two numerators, is reduced with ``np.gcd`` and
+    formatted once.  The key is below rows**3, within int64."""
+    lhs, rhs, res = (np.concatenate([getattr(block, side).num for block in run])
+                     for side in ("lhs", "rhs", "residual"))
+    lhs_values, lhs_rank = np.unique(lhs, return_inverse=True)
+    rhs_values, rhs_rank = np.unique(rhs, return_inverse=True)
+    key = (which * len(lhs_values) + lhs_rank) * len(rhs_values) + rhs_rank
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    blocks = which[first]
+
+    def reduced(nums, side):
+        dens = np.array([getattr(block, side).den for block in run])[blocks]
+        g = np.gcd(nums[first], dens)
+        return (nums[first] // g).tolist(), (dens // g).tolist()
+
+    made = np.empty(len(first), dtype=object)
+    made[:] = [f"{leads[b]}{ln}/{ld}{rhs_gap}{rn}/{rd}{res_gap}{sn}/{sd}{closings[ok]}"
+               for b, ln, ld, rn, rd, sn, sd, ok in zip(
+                   blocks.tolist(), *reduced(lhs, "lhs"), *reduced(rhs, "rhs"),
+                   *reduced(res, "residual"), (res[first] == 0).tolist())]
+    return made[where]
 
 
 def emit(reports: list[IdentityReport], format: str = "json") -> bytes:

@@ -74,11 +74,18 @@ def prime_factors(n: int) -> list[int]:
 
 
 def odd_prime_powers(limit: int) -> list[tuple[int, int]]:
-    """All (p, r) with p an odd prime, p**r <= limit, sorted by q = p**r."""
+    """All (p, r) with p an odd prime, p**r <= limit, sorted by q = p**r.
+    The odd primes come from a sieve of Eratosthenes over the odd numbers."""
+    if limit < 3:
+        return []
+    odd = np.ones((limit + 1) // 2, dtype=bool)        # odd[i]: is 2i + 1 prime
+    odd[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
     out = []
-    for p in range(3, limit + 1, 2):
-        if not is_prime(p):
-            continue
+    for p in (2 * np.flatnonzero(odd) + 1).tolist():
         q, r = p, 1
         while q <= limit:
             out.append((p, r))

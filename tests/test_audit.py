@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _emit_referee as emit_referee
 from _audit_referee import REFEREE
 from hypergf import (FieldError, audit, audit_identity, emit, emit_chunks, identity_by_key,
                      registry, sweep)
@@ -293,6 +294,39 @@ def test_emit_fills_one_buffer():
         assert payload == b"".join(emit_chunks(reports, fmt))
         # the output and one block's text; joining the chunks held two outputs
         assert peak < 1.5 * SWEEP49_PINS[fmt][0], (fmt, peak)
+
+
+@pytest.mark.parametrize("run_rows", [1, 7, audit._RUN_ROWS])
+def test_emit_matches_the_per_block_referee(monkeypatch, run_rows):
+    # runs of one block each, runs split inside a report, and the default
+    no_columns = audit_identity("O-minus1", [9])         # prime-only: no field
+    cases = [sweep(13), [no_columns, *sweep(9)],
+             [audit_identity("G-316", [27, 125])],       # an lcm denominator
+             [audit_identity("O-minus1", [3, 5, 7, 9, 11, 13])]]   # no parameters
+    monkeypatch.setattr(audit, "_RUN_ROWS", run_rows)
+    for reports in cases:
+        for fmt in ("json", "csv"):
+            chunks = list(emit_chunks(reports, fmt))
+            assert chunks == emit_referee.emit_chunks(reports, fmt), (run_rows, fmt)
+
+
+def test_capped_prime_powers_lists_to_999983_then_refuses(monkeypatch):
+    # the listing is a sieve; the work budget still refuses it
+    monkeypatch.setenv("HYPERGF_Q_CAP", str(10 ** 7))
+    with pytest.raises(FieldError, match="budget"):
+        capped_prime_powers(999983)
+
+
+def test_domains_are_built_once_per_field():
+    ctx = cached_field(13, 1)
+    domains = {}
+    for ident in registry():
+        points = ident.points(ctx)
+        assert points is ident.points(ctx) and not points.flags.writeable, ident.key
+        domains[ident.points] = points
+    # each domain under its own key: (a, b), Huff (a, b), three lambda
+    # domains, two root domains and the parameterless point
+    assert len(domains) == len({id(points) for points in domains.values()}) == 8
 
 
 def test_work_budget_edge():

@@ -153,6 +153,23 @@ def test_number_theory_helpers():
     assert odd_prime_powers(13) == [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
 
 
+def test_odd_prime_powers_sieve_matches_trial_division():
+    # the listing by is_prime, sorted by q, is a prefix at each smaller limit
+    def listing(limit):
+        pairs = []
+        for p in (p for p in range(3, limit + 1, 2) if is_prime(p)):
+            r = 1
+            while p ** r <= limit:
+                pairs.append((p, r))
+                r += 1
+        return sorted(pairs, key=lambda pr: pr[0] ** pr[1])
+
+    pairs = listing(2000)
+    for limit in range(-2, 2001):
+        assert odd_prime_powers(limit) == [pr for pr in pairs if pr[0] ** pr[1] <= limit], limit
+    assert odd_prime_powers(65536) == listing(65536)
+
+
 # ---------------------------------------------------------------------------
 # the doubling fill against the per-element referee
 # ---------------------------------------------------------------------------
