@@ -1,10 +1,16 @@
 """Exact character-sum kernels over small finite fields.
 
-Gaussian hypergeometric sums evaluated exactly in the rational group
-ring of roots of unity, brute-force point counts for Huff, general
-Huff, Weierstrass and Edwards curve models, and an audit engine that
-sweeps claimed identities between the two and reports exact rational
+Gaussian hypergeometric sums evaluated exactly as integer vectors over
+roots of unity, brute-force point counts for Huff, general Huff,
+Weierstrass and Edwards curve models, and an audit engine that sweeps
+claimed identities between the two and reports exact rational
 residuals.
+
+:class:`GroupRingElement` is a display value (canonical form,
+polynomial string, complex embedding) with no arithmetic: its ring
+operations ``+ - * scale``, ``zero``, ``constant``, ``zeta_power``,
+``is_zero``, ``to_rational`` and its value equality are gone, as is
+evaluating a :class:`Character` at an element (``chi(x)``).
 """
 
 from .audit import (

@@ -736,12 +736,21 @@ def _audit(idents: list[Identity], pairs: list[tuple[int, int]]) -> list[Identit
 
 def audit_identity(key: str, q_values: Iterable[int]) -> IdentityReport:
     """Evaluate one identity exactly at every point of its domain over the
-    given prime powers, whose limits are checked before any is factored."""
+    given prime powers, whose limits are checked before any is factored.
+    An audit of no point would pass empty, so it raises
+    :class:`FieldError`: before any field is built if none of the fields
+    is admissible, else once the domains are found empty."""
     ident = identity_by_key(key)
     q_order = sorted(set(q_values))
     _check_limits(max(q_order, default=0))
     _check_work(q_order, [ident], f"q in {q_order}")
-    return _audit([ident], [_odd_prime_power(q) for q in q_order])[0]
+    pairs = [_odd_prime_power(q) for q in q_order]
+    if any(ident.admissible(p, r) for p, r in pairs):
+        report = _audit([ident], pairs)[0]
+        if any(len(block.params) for block in report.columns):
+            return report
+    raise FieldError(f"{key} has no point over q in {q_order}: its domain is "
+                     f"{ident.domain_description}")
 
 
 def _odd_prime_power(q: int) -> tuple[int, int]:

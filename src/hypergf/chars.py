@@ -7,13 +7,13 @@ quadratic character phi.  Character products and inverses are index
 arithmetic, which keeps sums over all characters enumerable as plain
 ranges.
 
-Two layers live here.  The object layer (:class:`Character`,
-:func:`jacobi_sum`, :func:`binomial_symbol`) returns exact
-:class:`~hypergf.cyclo.GroupRingElement` values.  The integer-vector
-layer (``jacobi_vector``, ``scaled_binomial_vector``) underlies the
-object layer: it accumulates raw counts with no canonicalization
-inside the loops.  Its kernel :func:`jacobi_terms` also gives the
-series recursion in :mod:`hypergf.hyp` its Jacobi-type terms.
+Jacobi sums and binomial symbols are integer vectors over the
+(q-1)-th roots of unity (``jacobi_vector``, ``scaled_binomial_vector``),
+accumulated as raw counts with no canonicalization inside the loops.
+Their kernel :func:`jacobi_terms` also gives the series recursion in
+:mod:`hypergf.hyp` its Jacobi-type terms.  :func:`jacobi_sum` and
+:func:`binomial_symbol` wrap one vector in a
+:class:`~hypergf.cyclo.GroupRingElement` for display.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ class Character:
     def conjugate(self) -> Character:
         """The inverse character 1/chi."""
         return Character(self.ctx, -self.j)
-
-    def __call__(self, x: int) -> GroupRingElement:
-        """chi(x) as an exact group-ring element; chi(0) = 0."""
-        n = self.ctx.q - 1
-        if self.ctx.check_code(x) == self.ctx.zero:
-            return GroupRingElement.zero(n)
-        return GroupRingElement.zeta_power(n, self.j * self.ctx.dlog(x))
 
 
 def trivial_character(ctx: FieldContext) -> Character:
@@ -125,7 +118,7 @@ def scaled_binomial_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact object layer
+# display values
 # ---------------------------------------------------------------------------
 
 def same_field(*chars: Character) -> FieldContext:

@@ -1,16 +1,16 @@
-"""Exact arithmetic with sums of n-th roots of unity.
+"""Exact values in the cyclotomic field of n-th roots of unity.
 
-Values live in the rational group ring over Z_n: a vector of n
-integers over one positive denominator, entry m multiplying zeta**m for
-zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives;
-semantic equality means equal remainders modulo the n-th cyclotomic
-polynomial.  Canonicalization is paid only at comparison/extraction
-points, so products are integer cyclic convolutions and the one
-reduction is an integer long division, at their nonzero terms, by a
-chain of multiples of Phi_n that ends in Phi_n.
+A value is a vector of n integers, entry m multiplying zeta**m for
+zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives: two
+are the same number when their remainders modulo the n-th cyclotomic
+polynomial Phi_n agree.  The one reduction is an integer long division,
+at their nonzero terms, by a chain of multiples of Phi_n that ends in
+Phi_n; :func:`rational_from_vector` reads a rational value off it.
 
-The floating :meth:`GroupRingElement.embed` is a diagnostic cross-check
-only; every result that matters is extracted exactly.
+:class:`GroupRingElement` holds such a vector over one denominator for
+display only: its canonical form, a polynomial string and a floating
+:meth:`~GroupRingElement.embed` that is a diagnostic cross-check, never
+a source of truth.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import cmath
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -96,11 +96,13 @@ def rational_from_vector(vec, n: int) -> Fraction:
     if any(can[1:]):
         raise NonRationalValueError(
             f"canonical form has degree > 0 modulo Phi_{n}: {can}")
-    return Fraction(can[0]) if can else Fraction(0)
+    return Fraction(can[0])
 
 
 def convolve_cyclic(a, b, n: int) -> list[int]:
-    """Cyclic convolution of two integer vectors of length n."""
+    """Cyclic convolution of two integer vectors of length n: their
+    product as values.  Nothing in the package multiplies values; the
+    sum over characters that the tests hold the series to does."""
     max_a = max(map(abs, a), default=0)
     max_b = max(map(abs, b), default=0)
     fits_int64 = (
@@ -126,111 +128,36 @@ def convolve_cyclic(a, b, n: int) -> list[int]:
 
 
 class GroupRingElement:
-    """An exact element of the rational group ring over Z_n: integer
-    coefficients ``num`` of zeta**0 .. zeta**(n-1) over one positive
-    denominator ``den``, in lowest terms.
+    """An exact element of the rational group ring over Z_n, held for
+    display: integer coefficients ``num`` of zeta**0 .. zeta**(n-1) over
+    one positive denominator ``den``, in lowest terms.
 
-    Supports +, -, scalar and ring multiplication; equality and hashing
-    go through the canonical form, so two raw vectors representing the
-    same algebraic number compare equal.
+    It does no arithmetic and compares by identity; compare values by
+    :meth:`canonical`.
     """
 
-    __slots__ = ("n", "num", "den", "_canonical")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs, denominator: int = 1):
-        """The element sum(coeffs[m] * zeta**m) / denominator; the
-        coefficients are ints or rationals."""
+        """The element sum(coeffs[m] * zeta**m) / denominator, for integer
+        coefficients and a positive integer denominator."""
         if n < 1:
             raise ValueError("group ring modulus must be >= 1")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-        if denominator == 0:
-            raise ZeroDivisionError("group-ring element over denominator 0")
-        den = lcm(*(c.denominator for c in coeffs))
-        num = [int(c.numerator) * (den // c.denominator) for c in coeffs]
-        den *= denominator
-        g = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        num = tuple(map(operator.index, coeffs))
+        if len(num) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(num)}")
+        if denominator < 1:
+            raise ValueError(f"group-ring denominator must be >= 1, got {denominator}")
+        g = gcd(denominator, *num)
         self.n = n
         self.num = tuple(c // g for c in num)
-        self.den = den // g
-        self._canonical = None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> GroupRingElement:
-        return cls(n, [0] * n)
-
-    @classmethod
-    def zeta_power(cls, n: int, m: int) -> GroupRingElement:
-        """The root of unity zeta**m (exponent reduced mod n)."""
-        coeffs = [0] * n
-        coeffs[m % n] = 1
-        return cls(n, coeffs)
-
-    @classmethod
-    def constant(cls, n: int, value) -> GroupRingElement:
-        return cls(n, [value] + [0] * (n - 1))
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: GroupRingElement):
-        if self.n != other.n:
-            raise ValueError(f"mixed group-ring moduli {self.n} and {other.n}")
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        self._check(other)
-        den = lcm(self.den, other.den)
-        sa, sb = den // self.den, den // other.den
-        return GroupRingElement(self.n, [sa * a + sb * b for a, b in zip(self.num, other.num)],
-                                den)
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + -other
-
-    def __neg__(self):
-        return GroupRingElement(self.n, [-a for a in self.num], self.den)
-
-    def scale(self, s) -> GroupRingElement:
-        s = Fraction(s)
-        return GroupRingElement(self.n, [s.numerator * a for a in self.num],
-                                s.denominator * self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, GroupRingElement):
-            self._check(other)
-            return GroupRingElement(self.n, convolve_cyclic(self.num, other.num, self.n),
-                                    self.den * other.den)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+        self.den = denominator // g
 
     # -- extraction ----------------------------------------------------------
 
     def canonical(self) -> tuple[Fraction, ...]:
         """Canonical form: remainder mod Phi_n, a tuple of phi(n) rationals."""
-        if self._canonical is None:
-            self._canonical = tuple(
-                Fraction(c, self.den) for c in reduce_mod_cyclotomic(self.num, self.n))
-        return self._canonical
-
-    def is_zero(self) -> bool:
-        return not any(self.canonical())
-
-    def to_rational(self) -> Fraction:
-        """The exact rational value; raises NonRationalValueError if the
-        canonical form is not constant."""
-        return rational_from_vector(self.num, self.n) / self.den
+        return tuple(Fraction(c, self.den) for c in reduce_mod_cyclotomic(self.num, self.n))
 
     def embed(self) -> complex:
         """Complex image under zeta -> exp(2*pi*i/n), at double precision.
@@ -240,20 +167,7 @@ class GroupRingElement:
             for m, c in enumerate(self.num) if c
         )
 
-    # -- comparison / display -------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, GroupRingElement):
-            if self.n != other.n:
-                return False
-            return self.canonical() == other.canonical()
-        if isinstance(other, (int, Fraction)):
-            can = self.canonical()
-            return not any(can[1:]) and (can[0] if can else 0) == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.canonical()))
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         return f"GroupRingElement(n={self.n}, {self.poly_string()})"

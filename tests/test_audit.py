@@ -211,10 +211,33 @@ def test_sweep_deterministic_and_parallel_identical():
 
 
 def test_prime_only_identities_skip_extensions():
-    rep = audit_identity("O-minus1", [9, 25])
-    assert rep.records == [] and rep.status == "PASS"
+    rep = audit_identity("O-minus1", [9, 13, 25])
+    assert {rec.q for rec in rep.records} == {13} and rep.status == "PASS"
     rep = audit_identity("T5.3a", [13, 17, 25])
     assert {rec.q for rec in rep.records} == {13, 17}
+
+
+def _no_columns():
+    """A report with no block: T5.3a (primes 1 mod 4) in a sweep to q = 3."""
+    return next(rep for rep in sweep(3) if rep.identity == "T5.3a")
+
+
+@pytest.mark.parametrize("key, qs, fields", [
+    ("T5.3a", [9, 27], []), ("O-minus1", [9, 25], []), ("T5.3b", [3, 5], []),
+    ("C1", [], []),
+    ("C3", [3], [(3, 1)]), ("T5.2a", [3], [(3, 1)]),    # admissible, empty at q = 3
+])
+def test_an_audit_of_no_point_is_refused(monkeypatch, key, qs, fields):
+    built = []
+
+    def build(p, r, cached=audit.cached_field):
+        built.append((p, r))
+        return cached(p, r)
+    monkeypatch.setattr(audit, "cached_field", build)
+    with pytest.raises(FieldError, match="no point") as err:
+        audit_identity(key, qs)
+    assert identity_by_key(key).domain_description in str(err.value)
+    assert built == fields          # no field where none is admissible
 
 
 def test_quoted_suites_pass_in_full_ranges():
@@ -246,7 +269,7 @@ def test_cli_audit_streams_the_pinned_bytes(capsysbinary, fmt):
 
 
 def test_emit_chunks_join_to_emit():
-    no_columns = audit_identity("O-minus1", [9])         # prime-only: no field
+    no_columns = _no_columns()
     assert no_columns.columns == ()
     for reports in (sweep(13), sweep(9), [], [no_columns]):
         for fmt in ("json", "csv"):
@@ -299,7 +322,7 @@ def test_emit_fills_one_buffer():
 @pytest.mark.parametrize("run_rows", [1, 7, audit._RUN_ROWS])
 def test_emit_matches_the_per_block_referee(monkeypatch, run_rows):
     # runs of one block each, runs split inside a report, and the default
-    no_columns = audit_identity("O-minus1", [9])         # prime-only: no field
+    no_columns = _no_columns()
     cases = [sweep(13), [no_columns, *sweep(9)],
              [audit_identity("G-316", [27, 125])],       # an lcm denominator
              [audit_identity("O-minus1", [3, 5, 7, 9, 11, 13])]]   # no parameters
@@ -399,9 +422,9 @@ def test_sweep_and_emit_build_no_records():
 
 
 def test_records_view_reads_the_blocks_in_order():
-    # T5.2a has an empty domain at q = 3; O-minus1 has no field among 9, 27
+    # T5.2a has an empty domain at q = 3; T5.3a has no field in a sweep to 3
     for report in (audit_identity("T5.2a", [3, 5, 7, 9, 11]), sweep(13)[0],
-                   audit_identity("O-minus1", [9, 27])):
+                   _no_columns()):
         view = report.records
         assert isinstance(view, Sequence) and not isinstance(view, list)
         listed = list(view)

@@ -176,12 +176,15 @@ def test_usage_errors(capsys):
     (None, ["evalnfn", "--p", "3", "--r", "3000000", "--top", "1", "--x", "1"]),
     (None, ["special", "--p", "1000000000000000009"]),
     (None, ["audit", "--all", "--qmax", "5", "--jobs", "2"]),
+    (None, ["audit", "--identity", "T5.3a", "--qmax", "4"]),
+    (None, ["audit", "--identity", "T5.3b", "--qmax", "6"]),
 ], ids=["cap-not-integer", "special-9", "special-4", "qmax-unbounded",
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
         "audit-over-work-budget", "identity-over-work-budget",
         "evalnfn-not-rational", "evalnfn-order-3-column-too-large",
         "field-p-over-cap", "field-r-over-cap", "evalnfn-r-over-cap",
-        "special-p-over-cap", "audit-jobs-removed"])
+        "special-p-over-cap", "audit-jobs-removed", "identity-no-field-in-domain-to-4",
+        "identity-no-field-in-domain-to-6"])
 def test_precondition_violations_exit_1(capsys, monkeypatch, cap, argv):
     built = []
     monkeypatch.setattr(audit, "cached_field", lambda p, r: built.append((p, r)))
@@ -212,6 +215,16 @@ def test_audit_exit_codes(capsys):
     assert code == 0
     code, out, _ = _run(capsys, "audit", "--all", "--qmax", "5")
     assert code == 3
+    # one identity with no point is refused, naming its domain ...
+    code, out, err = _run(capsys, "audit", "--identity", "C5.3", "--qmax", "4")
+    assert code == 1 and out == "" and "primes p = 1 mod 4; a^2 = -1" in err
+    code, out, err = _run(capsys, "audit", "--identity", "C3", "--qmax", "4")
+    assert code == 1 and out == "" and "a^2 != b^2" in err
+    # ... while a sweep keeps every identity's summary record
+    code, out, _ = _run(capsys, "audit", "--all", "--qmax", "4", "--provenance", "corrected")
+    assert code == 0
+    summaries = {row["identity"]: row["points"] for row in json.loads(out) if "summary" in row}
+    assert summaries["C5.3"] == summaries["C3"] == 0 and len(summaries) == 8
 
 
 def test_audit_csv_and_jobs(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _chisum_referee as chisum_referee
+import _clausen_referee as clausen_referee
 import _window_referee as window_referee
 from hypergf import (
     Character,
@@ -161,8 +162,6 @@ def test_generic_series_rejects_codes_outside_the_field(p, r, field):
             _phi_phi_eps(ctx, x)
         with pytest.raises(ValueError, match="not an element code"):
             hyp.hyp_values((phi, phi), (eps,), [1, x])
-        with pytest.raises(ValueError, match="not an element code"):
-            phi(x)
     assert hyp_eval(_phi_phi_eps(ctx, ctx.element(-1))) == two_f_one(ctx, ctx.element(-1))
 
 
@@ -280,6 +279,31 @@ def test_hyp_values_is_hyp_eval_per_argument(field):
     values = hyp.hyp_values(top, bottom, xs)
     assert values == [hyp_eval(HypSpec(top=top, bottom=bottom, x=x)) for x in xs]
     assert values[0] == 0
+
+
+def _phi_series(ctx, order, xs):
+    phi, eps = quadratic_character(ctx), trivial_character(ctx)
+    return hyp.hyp_values((phi,) * order, (eps,) * (order - 1), xs)
+
+
+@pytest.mark.parametrize("fields", [odd_prime_powers(128), [(509, 1)]],
+                         ids=["q<=128", "q=509"])
+def test_order_3_series_is_the_clausen_curve_trace(fields, field):
+    # q^2 3F2(phi, phi, phi; eps, eps | lam/(lam+1)) = phi(1+lam)(a(lam)^2 - q)
+    for p, r in fields:
+        ctx = field(p, r)
+        xs, want = clausen_referee.clausen_sides(ctx)
+        got = [v * ctx.q ** 2 for v in _phi_series(ctx, 3, xs.tolist())]
+        assert got == want.tolist(), ctx.q
+
+
+def test_order_4_series_at_one_is_the_ahlgren_ono_value(field):
+    # p^3 4F3(phi, phi, phi, phi; eps, eps, eps | 1) = -a(p) - p
+    primes = [p for p in range(3, 258, 2) if is_prime(p)]
+    a = clausen_referee.eta_coefficients(primes[-1])
+    assert a[1:8] == [1, 0, -4, 0, -2, 0, 24]        # the level-8 newform of weight 4
+    for p in primes:
+        assert _phi_series(field(p), 4, [1])[0] * p ** 3 == -a[p] - p, p
 
 
 def test_order_bound(monkeypatch, field):
