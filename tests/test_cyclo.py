@@ -140,13 +140,18 @@ def test_reduce_and_rational_kernel():
     assert tuple(reduce_mod_cyclotomic(vec, n)) == tuple(
         int(c) for c in obj.canonical())
     assert rational_from_vector([7, 0, 0, 0], 4) == 7
+    assert rational_from_vector([5], 1) == 5             # Phi_1 = x - 1
+
+
+def test_to_rational():
     assert rational_from_vector(Z(4, 2), 4) == -1
     assert rational_from_vector([2, 0, 0, 0, 0, 0], 6) == 2
+    # 1 + zeta_6^2 + zeta_6^4 = 0
+    assert rational_from_vector([1, 0, 1, 0, 1, 0], 6) == 0
+    with pytest.raises(NonRationalValueError):
+        rational_from_vector(Z(4, 1), 4)
     for r in (3, -11, 0):
         assert rational_from_vector([r] + [0] * 11, 12) == r
-    assert rational_from_vector([5], 1) == 5             # Phi_1 = x - 1
-    with pytest.raises(NonRationalValueError):
-        rational_from_vector([0, 1, 0, 0], 4)
 
 
 def _schoolbook(a, b, n):
