@@ -304,24 +304,17 @@ def _primes(modulus: int = 1, residue: int = 0) -> Callable[[int, int], bool]:
     return lambda p, r: r == 1 and p % modulus == residue
 
 
-def _nonzero_pairs(mask: np.ndarray) -> np.ndarray:
-    mask[0, :] = mask[:, 0] = False
-    return np.argwhere(mask)
-
-
 # Every domain is built once per field (ff.per_field keys it by its name):
 # the two (a, b) domains serve 14 identities in each field.
 
 @per_field
 def _points_ab(ctx: FieldContext) -> np.ndarray:
-    codes = np.arange(ctx.q)
-    return _nonzero_pairs(codes[:, None] != codes[None, :])
+    return np.argwhere(curves.valid_pairs(ctx))
 
 
 @per_field
 def _points_huff_ab(ctx: FieldContext) -> np.ndarray:
-    sq = numpy_tables(ctx).sq
-    return _nonzero_pairs(sq[:, None] != sq[None, :])
+    return np.argwhere(curves.valid_pairs(ctx, squares=True))
 
 
 @per_field

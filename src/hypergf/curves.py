@@ -20,10 +20,11 @@ parameters: an affine pair lies on every curve of the family, on none,
 or fixes the parameter (for general Huff, b for each a), so every pair
 is still visited and the solved parameters are bincounted.  General
 Huff, Weierstrass and the quartic route cost O(q**3) for the whole
-(a, b) family, Huff and Edwards O(q**2).  The three O(q**3) tables
-are broadcast over blocks of consecutive a, each block within
-``ff.BLOCK_CELLS`` int64 cells (or one a, when one row alone is larger),
-so no build holds more than O(max(q**2, BLOCK_CELLS)) elements at once.
+(a, b) family, Huff and Edwards O(q**2).  General Huff and Weierstrass
+are broadcast over blocks of consecutive a, each within ``ff.BLOCK_CELLS``
+int64 cells (or one a, when one row alone is larger); the quartic route
+is one int64 product of two q x q tables.  No build holds more than
+O(max(q**2, BLOCK_CELLS)) elements at once.
 
 Also here: the rational maps between the general Huff model and the
 Weierstrass model v**2 = u(u+a)(u+b), applied to every enumerated point
@@ -36,11 +37,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import BLOCK_CELLS, FieldContext, NumpyTables, numpy_tables, per_field
+from .ff import FieldContext, NumpyTables, numpy_tables, per_field, row_blocks
 
 
 class ParameterError(ValueError):
     """Curve parameters violate the model's nondegeneracy conditions."""
+
+
+def _pair_rule(ctx: FieldContext, a, b, squares: bool):
+    """:func:`valid_pairs` at codes a, b (ints or broadcast arrays)."""
+    if squares:
+        sq = numpy_tables(ctx).sq
+        a, b = sq[a], sq[b]
+    return (a != 0) & (b != 0) & (a != b)
+
+
+def valid_pairs(ctx: FieldContext, squares: bool = False) -> np.ndarray:
+    """True at ``[a, b]`` where the general Huff and Weierstrass models
+    accept (a, b): a b != 0 and a != b.  With ``squares``, the Huff model's
+    rule: a b != 0 and a**2 != b**2."""
+    codes = np.arange(ctx.q)
+    return _pair_rule(ctx, codes[:, None], codes[None, :], squares)
+
+
+def _check_pair(ctx: FieldContext, model: str, a: int, b: int, squares: bool = False):
+    """ValueError unless a, b are element codes, else ParameterError unless valid."""
+    if not _pair_rule(ctx, ctx.check_code(a), ctx.check_code(b), squares):
+        rule = "a**2 != b**2" if squares else "a != b"
+        raise ParameterError(f"{model} model needs {rule if a and b else 'a, b nonzero'}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +75,7 @@ class GeneralHuffParams:
     b: int
 
     def validate(self, ctx: FieldContext):
-        if self.a == ctx.zero or self.b == ctx.zero:
-            raise ParameterError("general Huff model needs a, b nonzero")
-        if self.a == self.b:
-            raise ParameterError("general Huff model needs a != b")
+        _check_pair(ctx, "general Huff", self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -65,10 +86,7 @@ class HuffParams:
     b: int
 
     def validate(self, ctx: FieldContext):
-        if self.a == ctx.zero or self.b == ctx.zero:
-            raise ParameterError("Huff model needs a, b nonzero")
-        if ctx.mul(self.a, self.a) == ctx.mul(self.b, self.b):
-            raise ParameterError("Huff model needs a**2 != b**2")
+        _check_pair(ctx, "Huff", self.a, self.b, squares=True)
 
 
 @dataclass(frozen=True)
@@ -79,10 +97,7 @@ class WeierstrassParams:
     b: int
 
     def validate(self, ctx: FieldContext):
-        if self.a == ctx.zero or self.b == ctx.zero:
-            raise ParameterError("Weierstrass model needs a, b nonzero")
-        if self.a == self.b:
-            raise ParameterError("Weierstrass model needs a != b")
+        _check_pair(ctx, "Weierstrass", self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -92,7 +107,7 @@ class EdwardsParams:
     d2: int
 
     def validate(self, ctx: FieldContext):
-        if self.d2 == ctx.zero:
+        if ctx.check_code(self.d2) == ctx.zero:
             raise ParameterError("Edwards model needs d2 != 0")
         if self.d2 == ctx.one:
             raise ParameterError("Edwards model needs d2 != 1")
@@ -142,19 +157,12 @@ def _on_edwards(ctx: FieldContext, d2: int):
                          == t.vadd(ctx.one, t.vmul(d2, t.vmul(t.sq[x], t.sq[y]))))
 
 
-def _blocks(start: int, stop: int, cells: int) -> list[slice]:
-    """range(start, stop) cut into runs of one code, or of few enough codes
-    that their rows of ``cells`` cells fit in ``BLOCK_CELLS``."""
-    step = max(1, BLOCK_CELLS // cells)
-    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
-
-
 def _affine_points(ctx: FieldContext, on_curve) -> np.ndarray:
     """Pair codes x*q + y, ascending, of the affine solutions of
     ``on_curve``, tested on blocks of x rows against every y."""
     q, codes = ctx.q, np.arange(ctx.q)
     return np.concatenate([xs.start * q + on_curve(codes[xs, None], codes).ravel().nonzero()[0]
-                           for xs in _blocks(0, q, q)])
+                           for xs in row_blocks(0, q, q)])
 
 
 def count_general_huff(ctx: FieldContext, params: GeneralHuffParams) -> CurveCount:
@@ -219,15 +227,8 @@ def _rows_over_a(q: int, cells: int, rows) -> np.ndarray:
     """A (q, q) table whose rows a >= 1 are ``rows(a)`` for blocks of
     consecutive a's, ``cells`` int64 cells per a.  Row 0 is left unset."""
     table, codes = np.empty((q, q), dtype=np.int64), np.arange(q)
-    for a in _blocks(1, q, cells):
+    for a in row_blocks(1, q, cells):
         table[a] = rows(codes[a])
-    return table
-
-
-def _excluded_ab(table: np.ndarray, bad_pair: np.ndarray) -> np.ndarray:
-    """-1 where a = 0, b = 0 or ``bad_pair[a, b]``."""
-    table[bad_pair] = -1
-    table[0, :] = table[:, 0] = -1
     return table
 
 
@@ -250,7 +251,7 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
         b = t.vsub(t.vmul(a[:, None], slope), offset)
         at = np.arange(len(a))[:, None] * q + b
         return 1 + 3 + np.bincount(at.ravel(), minlength=len(a) * q).reshape(-1, q)
-    return _excluded_ab(_rows_over_a(q, len(slope), rows), np.eye(q, dtype=bool))
+    return np.where(valid_pairs(ctx), _rows_over_a(q, len(slope), rows), -1)
 
 
 @per_field
@@ -271,7 +272,7 @@ def huff_family(ctx: FieldContext) -> np.ndarray:
     inv_a = np.zeros(q, dtype=np.int64)   # row a = 0 is excluded below
     inv_a[1:] = t.vinv(codes[1:])
     table = 3 + every + hist[t.vmul(codes[None, :], inv_a[:, None])]
-    return _excluded_ab(table, t.sq[:, None] == t.sq[None, :])
+    return np.where(valid_pairs(ctx, squares=True), table, -1)
 
 
 @per_field
@@ -303,28 +304,27 @@ def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     def rows(a):
         left = t.vmul(codes, t.vadd(codes, a[:, None]))       # x(x+a) at [a, x]
         return 1 + t.nsqrt[t.vmul(left[:, :, None], x_plus_b)].sum(axis=1)
-    return _excluded_ab(_rows_over_a(q, q * q, rows), np.eye(q, dtype=bool))
+    return np.where(valid_pairs(ctx), _rows_over_a(q, q * q, rows), -1)
 
 
 @per_field
 def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
     """``count_general_huff_quartic(ctx, GeneralHuffParams(a, b)).total``
     at ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
+    # for x != 0, b^2 x^4 + (4a - 2b) x^2 + 1 = x^2 (c + 4a) with
+    # c = (b x - 1/x)^2, and phi(x^2 w) = phi(w); so the sum over x at (a, b)
+    # is (hist @ phi)[b, a], with hist[b, v] the number of x with c = v and
+    # phi[v, a] = phi(v + 4a)
     t = numpy_tables(ctx)
     q = ctx.q
     codes = np.arange(q)
-    x2 = t.sq[1:, None]                                   # nonzero x
-    two_b = t.vadd(codes, codes)[None, :]
-    # b^2 x^4 - 2b x^2 + 1 at [x, b]; row a adds 4a x^2
-    rest = t.vadd(t.vsub(t.vmul(t.sq[None, :], t.vmul(x2, x2)), t.vmul(two_b, x2)),
-                  ctx.one)
-    four = ctx.element(4)
-
-    def rows(a):
-        # rest + 4a x^2 at [a, x, b]
-        four_a_x2 = t.vmul(t.vmul(four, a)[:, None, None], x2)
-        return q + 3 + t.phi[t.vadd(rest, four_a_x2)].sum(axis=1)
-    return _excluded_ab(_rows_over_a(q, rest.size, rows), np.eye(q, dtype=bool))
+    x = codes[1:, None]
+    c = t.sq[t.vsub(t.vmul(x, codes), t.inv_[x])]                    # [x, b]
+    hist = np.bincount((codes * q + c).ravel(), minlength=q * q).reshape(q, q)
+    phi = t.phi[t.vadd(codes[:, None], t.vmul(ctx.element(4), codes))]
+    # each row of hist sums to q - 1 and |phi| <= 1, so the int64 product is
+    # exact: every entry is at most q - 1 < q^2 in absolute value
+    return np.where(valid_pairs(ctx), q + 3 + (hist @ phi).T, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +415,8 @@ def _map_ghuff_weier(ctx: FieldContext, params: GeneralHuffParams,
 def _map_huff_ghuff(ctx: FieldContext, params: HuffParams) -> MapReport:
     params.validate(ctx)
     a2, b2 = ctx.mul(params.a, params.a), ctx.mul(params.b, params.b)
-    src = count_huff(ctx, params)
-    tgt = count_general_huff(ctx, GeneralHuffParams(a2, b2))
-    return MapReport(
-        source_model="huff", target_model="ghuff",
-        source_params=(params.a, params.b), target_params=(a2, b2),
-        mapped=0, exceptional_source=0, exceptional_target=0,
-        injective=None, images_on_target=None,
-        source_total=src.total, target_total=tgt.total,
-    )
+    return _count_level(ctx, params, "ghuff", (a2, b2),
+                        count_general_huff(ctx, GeneralHuffParams(a2, b2)).total)
 
 
 def _map_huff_edwards(ctx: FieldContext, params: HuffParams) -> MapReport:
@@ -433,12 +426,15 @@ def _map_huff_edwards(ctx: FieldContext, params: HuffParams) -> MapReport:
         raise ParameterError("Edwards parameter (a-b)/(a+b) undefined: a + b = 0")
     d = ctx.mul(ctx.sub(params.a, params.b), ctx.inv(apb))
     d2 = ctx.mul(d, d)
-    src = count_huff(ctx, params)
-    affine = count_edwards_affine(ctx, EdwardsParams(d2))
+    return _count_level(ctx, params, "edwards", (d2,),
+                        count_edwards_affine(ctx, EdwardsParams(d2)))
+
+
+def _count_level(ctx: FieldContext, params: HuffParams, target: str,
+                 target_params: tuple, target_total: int) -> MapReport:
+    """A Huff map with no printed point map: only the totals are compared."""
     return MapReport(
-        source_model="huff", target_model="edwards",
-        source_params=(params.a, params.b), target_params=(d2,),
+        "huff", target, (params.a, params.b), target_params,
         mapped=0, exceptional_source=0, exceptional_target=0,
         injective=None, images_on_target=None,
-        source_total=src.total, target_total=affine,
-    )
+        source_total=count_huff(ctx, params).total, target_total=target_total)

@@ -41,6 +41,13 @@ Q_CAP_ENV_VAR = "HYPERGF_Q_CAP"
 BLOCK_CELLS = 2 ** 20
 
 
+def row_blocks(start: int, stop: int, cells: int) -> list[slice]:
+    """range(start, stop) cut into runs of one row, or of few enough rows
+    that their ``cells`` cells each fit in ``BLOCK_CELLS``."""
+    step = max(1, BLOCK_CELLS // cells)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
 class FieldError(ValueError):
     """Raised when a field cannot be constructed as requested."""
 

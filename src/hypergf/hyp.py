@@ -64,7 +64,7 @@ from .chars import jacobi_vector
 # convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
 from .cyclo import convolve_cyclic
 from .cyclo import rational_from_vector
-from .ff import BLOCK_CELLS, FieldContext, FieldError, NumpyTables, is_prime, numpy_tables
+from .ff import FieldContext, FieldError, NumpyTables, is_prime, numpy_tables, row_blocks
 # make_field is unused here; perfbench/spans.py traces it at this binding
 from .ff import make_field
 
@@ -163,13 +163,12 @@ def _integral_rows(t: NumpyTables, ja: int, jb: int, jc: int,
     n = t.n
     y, ey = jacobi_terms(t, jb, jc - jb)   # B(y) conj(B)C(1-y)
     rows = np.zeros((len(xs), n), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // len(y))
-    for lo in range(0, len(xs), step):
-        block = xs[lo:lo + step]
+    for s in row_blocks(0, len(xs), len(y)):
+        block = xs[s]
         z = t.one_minus[t.vmul(block[:, None], y[None, :])]
         i, k = np.nonzero((block[:, None] != 0) & (z != 0))
         idx = i * n + (ey[k] - ja * t.log_[z[i, k]]) % n
-        rows[lo:lo + step] = np.bincount(idx, minlength=len(block) * n).reshape(-1, n)
+        rows[s] = np.bincount(idx, minlength=len(block) * n).reshape(-1, n)
     return rows
 
 
@@ -179,10 +178,8 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
     rolled by the exponent of A(y) conj(A)B(1-y), for each x of ``xs``."""
     y, ey = jacobi_terms(t, ja, jb - ja)   # A(y) conj(A)B(1-y)
     rows = np.zeros((len(xs), t.n), dtype=np.int64)
-    step = max(1, BLOCK_CELLS // t.n)
-    for lo in range(0, len(xs), step):
-        block = xs[lo:lo + step]
-        acc = rows[lo:lo + step]
+    for s in row_blocks(0, len(xs), t.n):
+        block, acc = xs[s], rows[s]
         for yk, e in zip(y.tolist(), ey.tolist()):
             acc += np.roll(below[t.vmul(block, yk)], e, axis=1)
     return rows

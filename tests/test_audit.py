@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import _emit_referee as emit_referee
 from _audit_referee import REFEREE
-from hypergf import (FieldError, audit, audit_identity, emit, emit_chunks, identity_by_key,
-                     registry, sweep)
+from hypergf import (FieldError, audit, audit_identity, curves, emit, emit_chunks,
+                     identity_by_key, registry, sweep)
 from hypergf.audit import (_FIELD_CACHE, PROVENANCES, Column, _columns_for, _residual,
                            _scaled, cached_field, capped_prime_powers)
 from hypergf.cli import run
@@ -350,6 +350,17 @@ def test_domains_are_built_once_per_field():
     # each domain under its own key: (a, b), Huff (a, b), three lambda
     # domains, two root domains and the parameterless point
     assert len(domains) == len({id(points) for points in domains.values()}) == 8
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2)])
+def test_ab_domains_are_the_valid_pairs(p, r):
+    ctx = cached_field(p, r)
+    # C1 reads the (a, b) domain and C3 the Huff one
+    for domain, squares, key in ((audit._points_ab, False, "C1"),
+                                 (audit._points_huff_ab, True, "C3")):
+        points = domain(ctx)
+        assert np.array_equal(points, np.argwhere(curves.valid_pairs(ctx, squares)))
+        assert points.tolist() == [list(ab) for ab in REFEREE[key][0](ctx)]
 
 
 def test_work_budget_edge():

@@ -2,10 +2,12 @@ import random
 import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _quartic_referee as quartic_referee
 from hypergf import (
     CurveCount,
     EdwardsParams,
@@ -18,7 +20,7 @@ from hypergf import (
     count_general_huff_quartic,
     count_huff,
     count_weierstrass,
-    curves,
+    ff,
     map_points,
 )
 from hypergf.audit import cached_field, identity_by_key
@@ -27,6 +29,7 @@ from hypergf.curves import (
     general_huff_family,
     general_huff_quartic_family,
     huff_family,
+    valid_pairs,
     weierstrass_family,
 )
 from hypergf.ff import make_field, odd_prime_powers
@@ -227,13 +230,50 @@ def test_family_tables_match_counts(p, r, field):
         assert edw[d2] == _reference(count_edwards_affine, EdwardsParams, ctx, d2), d2
 
 
+@pytest.mark.parametrize("p,r", [(151, 1), (149, 1), (5, 3), (11, 2), (3, 4), (13, 1),
+                                 (3, 2)])
+def test_quartic_family_matches_the_direct_sum(p, r, field):
+    ctx = field(p, r)
+    assert (general_huff_quartic_family(ctx) == quartic_referee.quartic_family(ctx)).all()
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2)])
+def test_valid_pairs_is_each_validate(p, r, field):
+    ctx = field(p, r)
+    q = ctx.q
+    for params, squares in ((GeneralHuffParams, False), (WeierstrassParams, False),
+                            (HuffParams, True)):
+        want = [[_valid(params(a, b), ctx) for b in range(q)] for a in range(q)]
+        assert valid_pairs(ctx, squares).tolist() == want, params.__name__
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (7, 1)])
+def test_codes_outside_the_field_are_refused(p, r, field):
+    ctx = field(p, r)
+    q = ctx.q
+    for bad in (-1, q, q + 3):
+        calls = [(count_edwards_affine, EdwardsParams(bad))]
+        for a, b in ((1, bad), (bad, 1)):
+            calls += [(count_general_huff, GeneralHuffParams(a, b)),
+                      (count_general_huff_quartic, GeneralHuffParams(a, b)),
+                      (count_huff, HuffParams(a, b)),
+                      (count_weierstrass, WeierstrassParams(a, b))]
+            calls += [(lambda ctx, params, pair=pair: map_points(ctx, *pair, params),
+                       HuffParams(a, b))
+                      for pair in (("ghuff", "weier"), ("weier", "ghuff"),
+                                   ("huff", "ghuff"), ("huff", "edwards"))]
+        for call, params in calls:
+            with pytest.raises(ValueError, match="is not an element code"):
+                call(ctx, params)
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
 def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
     # a budget of 3q^2 cells puts three a's in a block (the last one
     # shorter at q = 9, 27); a budget of 1 puts one a in each
     q = p ** r
     for budget in (3 * q * q, 1):
-        monkeypatch.setattr(curves, "BLOCK_CELLS", budget)
+        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         ctx = make_field(p, r)                     # fresh: tables are per field
         for family, count, params in (AB_FAMILIES[0], *AB_FAMILIES[2:]):
             want = [[_reference(count, params, ctx, a, b) for b in range(q)]
@@ -270,7 +310,7 @@ def test_per_curve_counts_and_maps_do_not_depend_on_the_block(p, r, monkeypatch)
     want = _per_curve_survey(make_field(p, r), pairs)
     assert sum(isinstance(w, str) for w in want) < len(want) // 2
     for budget in (q, 1, 3 * q):
-        monkeypatch.setattr(curves, "BLOCK_CELLS", budget)
+        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         assert _per_curve_survey(make_field(p, r), pairs) == want, budget
 
 

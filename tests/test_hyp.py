@@ -17,6 +17,7 @@ from hypergf import (
     WeierstrassParams,
     cornacchia,
     count_weierstrass,
+    ff,
     hyp,
     hyp_eval,
     jacobi_sum,
@@ -269,6 +270,24 @@ def test_recursion_matches_the_chi_sum(spec):
             hyp_eval(spec)
     else:
         assert hyp_eval(spec) == want
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
+def test_series_rows_do_not_depend_on_the_block(p, r, monkeypatch):
+    # the default budget takes every code in one block; 1 and n put one
+    # row in each block of both kernels, and 3n three (the last one shorter
+    # unless 3 divides q)
+    q = p ** r
+    n = q - 1
+    xs = np.arange(q)
+    cases = [(tops[:k], bots[:k - 1]) for k in (2, 3, 4)
+             for tops, bots in (([n // 2] * 4, [0] * 3), ([1, 3, n // 2, 2], [n - 1, 0, 5]))]
+    want = [hyp._series_rows(make_field(p, r), tops, bots, xs) for tops, bots in cases]
+    for budget in (1, n, 3 * n):
+        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
+        ctx = make_field(p, r)
+        for (tops, bots), rows in zip(cases, want):
+            assert (hyp._series_rows(ctx, tops, bots, xs) == rows).all(), (budget, tops, bots)
 
 
 def test_hyp_values_is_hyp_eval_per_argument(field):
