@@ -14,17 +14,16 @@ also has a family form (``general_huff_family``, ``huff_family``,
 ``edwards_affine_family``): a memoized, read-only int64 table of the
 totals at every parameter, -1 where the parameters are invalid.  They
 count what the per-parameter functions count, with no characters beyond
-the quartic route's own and no discriminant shortcut.  The three
-exhaustive models use that each defining equation is linear in its
-parameters: an affine pair lies on every curve of the family, on none,
-or fixes the parameter (for general Huff, b for each a), so every pair
-is still visited and the solved parameters are bincounted.  General
-Huff, Weierstrass and the quartic route cost O(q**3) for the whole
-(a, b) family, Huff and Edwards O(q**2).  General Huff and Weierstrass
-are broadcast over blocks of consecutive a, each within ``ff.BLOCK_CELLS``
-int64 cells (or one a, when one row alone is larger); the quartic route
-is one int64 product of two q x q tables.  No build holds more than
-O(max(q**2, BLOCK_CELLS)) elements at once.
+the quartic route's own and no discriminant shortcut.  Every family is
+one histogram plus one read.  Each exhaustive equation is linear in its
+parameters, so an affine pair lies on every curve of the family, on none,
+or fixes a parameter, and the pairs are bincounted by what they fix:
+Huff and Edwards one parameter, O(q**2); general Huff and Weierstrass a
+line s u - v = m in two (for general Huff, b = a (y/x) - (x-y)/(x^2 y)),
+read from the counts of all q**2 lines, an O(q**3) gather over blocks of
+s within ``ff.BLOCK_CELLS``.  The quartic route bincounts c per b and
+reads it through one int64 product with the q x q table phi(c + 4a).  No
+family build holds more than a few q x q tables.
 
 Also here: the rational maps between the general Huff model and the
 Weierstrass model v**2 = u(u+a)(u+b), applied to every enumerated point
@@ -162,7 +161,7 @@ def _affine_points(ctx: FieldContext, on_curve) -> np.ndarray:
     ``on_curve``, tested on blocks of x rows against every y."""
     q, codes = ctx.q, np.arange(ctx.q)
     return np.concatenate([xs.start * q + on_curve(codes[xs, None], codes).ravel().nonzero()[0]
-                           for xs in row_blocks(0, q, q)])
+                           for xs in row_blocks(q, q)])
 
 
 def count_general_huff(ctx: FieldContext, params: GeneralHuffParams) -> CurveCount:
@@ -223,13 +222,19 @@ def count_general_huff_quartic(ctx: FieldContext,
 # whole families, counted once per field
 # ---------------------------------------------------------------------------
 
-def _rows_over_a(q: int, cells: int, rows) -> np.ndarray:
-    """A (q, q) table whose rows a >= 1 are ``rows(a)`` for blocks of
-    consecutive a's, ``cells`` int64 cells per a.  Row 0 is left unset."""
-    table, codes = np.empty((q, q), dtype=np.int64), np.arange(q)
-    for a in row_blocks(1, q, cells):
-        table[a] = rows(codes[a])
-    return table
+def _line_counts(ctx: FieldContext, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K[s, m] = #{i : s u[i] - v[i] = m}, by one histogram H[u, v] and a
+    gather with no field arithmetic per cell: with sub[c, m] = c - m, row s
+    is the sum over u of H[u, sub[s u]], added one u at a time."""
+    t, q, codes = numpy_tables(ctx), ctx.q, np.arange(ctx.q)
+    hist = np.bincount(u * q + v, minlength=q * q).reshape(q, q)
+    sub = t.vsub(codes[:, None], codes)
+    counts = np.zeros((q, q), dtype=np.int64)
+    for s in row_blocks(q, q):
+        rows = counts[s]
+        for hist_u, su in zip(hist, t.vmul(codes[s, None], codes).T):
+            rows += hist_u[sub[su]]
+    return counts
 
 
 @per_field
@@ -239,19 +244,12 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
     # a x y^2 - b x^2 y = x - y: the origin lies on every curve, the other
     # axis points on none, and x y != 0 fixes b = a (y/x) - (x-y)/(x^2 y)
     t = numpy_tables(ctx)
-    q = ctx.q
-    nz = np.arange(1, q)
+    nz = np.arange(1, ctx.q)
     x, y = nz[:, None], nz[None, :]
     inv_x2y = t.vinv(t.vmul(t.sq[x], y))
     slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y).ravel()   # y/x
     offset = t.vmul(t.vsub(x, y), inv_x2y).ravel()        # (x-y)/(x^2 y)
-
-    def rows(a):
-        # b at [a, (x, y)], bincounted per a as one histogram of a-row q + b
-        b = t.vsub(t.vmul(a[:, None], slope), offset)
-        at = np.arange(len(a))[:, None] * q + b
-        return 1 + 3 + np.bincount(at.ravel(), minlength=len(a) * q).reshape(-1, q)
-    return np.where(valid_pairs(ctx), _rows_over_a(q, len(slope), rows), -1)
+    return np.where(valid_pairs(ctx), 1 + 3 + _line_counts(ctx, slope, offset), -1)
 
 
 @per_field
@@ -296,15 +294,15 @@ def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
 def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     """``count_weierstrass(ctx, WeierstrassParams(a, b)).total`` at
     ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
+    # y^2 = x^3 + (a+b) x^2 + ab x: x = 0 gives the origin on every curve, and
+    # x != 0 fixes the line (a+b)(-x) - (-c) = ab with c = y^2/x - x^2
     t = numpy_tables(ctx)
-    q = ctx.q
-    codes = np.arange(q)
-    x_plus_b = t.vadd(codes[:, None], codes[None, :])     # [x, b]
-
-    def rows(a):
-        left = t.vmul(codes, t.vadd(codes, a[:, None]))       # x(x+a) at [a, x]
-        return 1 + t.nsqrt[t.vmul(left[:, :, None], x_plus_b)].sum(axis=1)
-    return np.where(valid_pairs(ctx), _rows_over_a(q, q * q, rows), -1)
+    codes = np.arange(ctx.q)
+    x = codes[1:, None]
+    minus_c = t.vsub(t.sq[x], t.vmul(t.sq, t.inv_[x])).ravel()       # [x, y]
+    minus_x = np.repeat(t.neg_[1:], ctx.q)
+    at = t.vadd(codes[:, None], codes), t.vmul(codes[:, None], codes)  # a+b, ab
+    return np.where(valid_pairs(ctx), 1 + 1 + _line_counts(ctx, minus_x, minus_c)[at], -1)
 
 
 @per_field

@@ -36,16 +36,15 @@ import numpy as np
 
 DEFAULT_Q_CAP = 1 << 16
 Q_CAP_ENV_VAR = "HYPERGF_Q_CAP"
-# kernels that broadcast over a block of rows (generic series rows, curve
-# families over a) keep each block within this many int64 cells
+# kernels that run over blocks of rows keep each block within this many int64 cells
 BLOCK_CELLS = 2 ** 20
 
 
-def row_blocks(start: int, stop: int, cells: int) -> list[slice]:
-    """range(start, stop) cut into runs of one row, or of few enough rows
-    that their ``cells`` cells each fit in ``BLOCK_CELLS``."""
+def row_blocks(stop: int, cells: int) -> list[slice]:
+    """range(stop) cut into runs of one row, or of few enough rows that
+    their ``cells`` cells each fit in ``BLOCK_CELLS``."""
     step = max(1, BLOCK_CELLS // cells)
-    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+    return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
 
 
 class FieldError(ValueError):

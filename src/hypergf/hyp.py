@@ -22,10 +22,11 @@ A level is held as integer vectors over the (q-1)-th roots of unity:
 q**(k-1) times the order-k value, one row per argument.  The 2F1 rows
 are one bincount of zeta-exponents over y, O(q) per argument; a higher
 level sums rolled rows of the level below at every xy, so an order k >= 3
-series needs the level below as a (q, q-1) int64 column and costs
-O(k q^2 (q-1)) at worst.  :func:`check_order` refuses a column beyond
-``MAX_COLUMN_CELLS`` cells or entries that could reach 2**62.  The
-rational is extracted once per row, exactly.
+series needs the level below as a (q, q-1) int64 column, and each of
+its k-3 levels between the 2F1 and the top one costs q**2 (q-1) cells.
+:func:`check_order` refuses a column beyond ``MAX_COLUMN_CELLS`` cells,
+recursion work beyond ``MAX_RECURSION_CELLS`` cells, or entries that
+could reach 2**62.  The rational is extracted once per row, exactly.
 
 The workhorse is the (phi, phi; eps) specialization
 :func:`two_f_one`, evaluated by Greene's sum form
@@ -70,6 +71,9 @@ from .ff import make_field
 
 # an order k >= 3 series holds the level below as a (q, q-1) int64 column
 MAX_COLUMN_CELLS = 2 ** 24
+# its (k-3) q^2 (q-1) cells of recursion take about 2.7 ns each on a 2-vCPU
+# VM, so this budget is about 3 s: order 4 up to q = 1021, order 5 to 811
+MAX_RECURSION_CELLS = 2 ** 30
 
 
 def _check_characters(top, bottom) -> FieldContext:
@@ -98,13 +102,17 @@ class HypSpec:
 
 def check_order(q: int, order: int) -> None:
     """Raise :class:`FieldError` unless a series of ``order`` top
-    characters over F_q fits its int64 rows: for order >= 3 the (q, q-1)
-    column of the level below is at most ``MAX_COLUMN_CELLS`` cells, and
-    every entry, at most (q-2)**(order-1) in absolute value, stays below
-    2**62."""
+    characters over F_q fits its int64 rows and its work budget: for
+    order >= 3 the (q, q-1) column of the level below is at most
+    ``MAX_COLUMN_CELLS`` cells, the (order-3) q**2 (q-1) cells of recursion
+    are at most ``MAX_RECURSION_CELLS``, and every entry, at most
+    (q-2)**(order-1) in absolute value, stays below 2**62."""
     if order >= 3 and q * (q - 1) > MAX_COLUMN_CELLS:
         raise FieldError(f"an order-{order} series over q={q} needs a {q}x{q - 1} "
                          f"column, over the {MAX_COLUMN_CELLS}-cell bound")
+    if (work := (order - 3) * q * q * (q - 1)) > MAX_RECURSION_CELLS:
+        raise FieldError(f"an order-{order} series over q={q} needs {work} cells of "
+                         f"recursion, over the {MAX_RECURSION_CELLS}-cell budget")
     if q ** (order - 1) >= 2 ** 62:
         raise FieldError(f"an order-{order} series over q={q} has entries up to "
                          f"q^{order - 1} >= 2^62")
@@ -163,7 +171,7 @@ def _integral_rows(t: NumpyTables, ja: int, jb: int, jc: int,
     n = t.n
     y, ey = jacobi_terms(t, jb, jc - jb)   # B(y) conj(B)C(1-y)
     rows = np.zeros((len(xs), n), dtype=np.int64)
-    for s in row_blocks(0, len(xs), len(y)):
+    for s in row_blocks(len(xs), len(y)):
         block = xs[s]
         z = t.one_minus[t.vmul(block[:, None], y[None, :])]
         i, k = np.nonzero((block[:, None] != 0) & (z != 0))
@@ -178,7 +186,7 @@ def _recursion_rows(t: NumpyTables, below: np.ndarray, ja: int, jb: int,
     rolled by the exponent of A(y) conj(A)B(1-y), for each x of ``xs``."""
     y, ey = jacobi_terms(t, ja, jb - ja)   # A(y) conj(A)B(1-y)
     rows = np.zeros((len(xs), t.n), dtype=np.int64)
-    for s in row_blocks(0, len(xs), t.n):
+    for s in row_blocks(len(xs), t.n):
         block, acc = xs[s], rows[s]
         for yk, e in zip(y.tolist(), ey.tolist()):
             acc += np.roll(below[t.vmul(block, yk)], e, axis=1)

@@ -169,6 +169,7 @@ def test_usage_errors(capsys):
     (None, ["audit", "--identity", "G-reflect", "--qmax", "853"]),
     (None, ["evalnfn", "--p", "13", "--top", "2,2", "--bottom", "0", "--x", "-1"]),
     (None, ["evalnfn", "--p", "65521", "--top", "1,2,3", "--bottom", "4,5", "--x", "2"]),
+    (None, ["evalnfn", "--p", "1031", "--top", "1,2,3,4", "--bottom", "5,6,7", "--x", "2"]),
     # both large p are prime: only a size check ahead of the primality
     # test refuses them without ~sqrt(p) trial divisions
     (None, ["field", "--p", "1000000000000000003"]),
@@ -182,6 +183,7 @@ def test_usage_errors(capsys):
         "identity-over-cap", "all-over-cap", "qmax-beyond-int64",
         "audit-over-work-budget", "identity-over-work-budget",
         "evalnfn-not-rational", "evalnfn-order-3-column-too-large",
+        "evalnfn-order-4-over-recursion-budget",
         "field-p-over-cap", "field-r-over-cap", "evalnfn-r-over-cap",
         "special-p-over-cap", "audit-jobs-removed", "identity-no-field-in-domain-to-4",
         "identity-no-field-in-domain-to-6"])
@@ -268,7 +270,8 @@ def test_evalnfn_order_bound_builds_no_field(capsys, monkeypatch):
     from hypergf import cli
     built = []
     monkeypatch.setattr(cli, "make_field", lambda *args: built.append(args))
-    code, out, err = _run(capsys, "evalnfn", "--p", "65521", "--top", "1,2,3",
-                          "--bottom", "4,5", "--x", "2")
-    assert (code, out, built) == (1, "", [])
-    assert "cell bound" in err
+    for argv, reason in (("--p 65521 --top 1,2,3 --bottom 4,5 --x 2", "cell bound"),
+                         ("--p 1031 --top 1,2,3,4 --bottom 5,6,7 --x 2", "cells of recursion")):
+        code, out, err = _run(capsys, "evalnfn", *argv.split())
+        assert (code, out, built) == (1, "", [])
+        assert reason in err

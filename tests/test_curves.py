@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _family_referee as family_referee
 import _quartic_referee as quartic_referee
 from hypergf import (
     CurveCount,
@@ -25,6 +26,7 @@ from hypergf import (
 )
 from hypergf.audit import cached_field, identity_by_key
 from hypergf.curves import (
+    _line_counts,
     edwards_affine_family,
     general_huff_family,
     general_huff_quartic_family,
@@ -237,6 +239,46 @@ def test_quartic_family_matches_the_direct_sum(p, r, field):
     assert (general_huff_quartic_family(ctx) == quartic_referee.quartic_family(ctx)).all()
 
 
+@pytest.mark.parametrize("p,r", [(151, 1), (149, 1), (5, 3), (11, 2), (3, 4), (37, 1),
+                                 (7, 2), (13, 1), (3, 2), (3, 3)])
+def test_line_count_families_match_the_broadcast_kernels(p, r, field):
+    ctx = field(p, r)
+    for family in (general_huff_family, weierstrass_family):
+        want = getattr(family_referee, family.__name__)(ctx)
+        assert family(ctx).tolist() == want.tolist(), family.__name__
+
+
+@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
+def test_line_count_families_do_not_depend_on_the_block(p, r, monkeypatch):
+    # the line counts take q cells per row and per step: a budget of 1 puts
+    # one row in a block, 3q three, and q^2 or 3q^2 every row in one block;
+    # the referees cut their rows of a by about q^2 cells per a
+    q = p ** r
+    for budget in (1, 3 * q, q * q, 3 * q * q):
+        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
+        ctx = make_field(p, r)                     # fresh: tables are per field
+        for family in (general_huff_family, weierstrass_family):
+            want = getattr(family_referee, family.__name__)(ctx)
+            assert family(ctx).tolist() == want.tolist(), (family.__name__, budget)
+
+
+@pytest.mark.parametrize("p,r,budget", [(13, 1, None), (3, 2, None), (3, 3, 2 * 27),
+                                        (5, 2, None)])
+def test_line_counts_are_the_count_of_each_line(p, r, budget, monkeypatch):
+    # K[s, m] = #{i : s u[i] - v[i] = m} at random pairs with repeats; at
+    # q = 27 a budget of 2q cells cuts the rows s into 14 blocks
+    if budget is not None:
+        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
+    ctx = make_field(p, r)
+    q = ctx.q
+    u, v = np.random.default_rng(q).integers(0, q, size=(2, 4 * q))
+    want = np.zeros((q, q), dtype=np.int64)
+    for s in range(q):
+        for ui, vi in zip(u.tolist(), v.tolist()):
+            want[s, ctx.sub(ctx.mul(s, ui), vi)] += 1
+    assert _line_counts(ctx, u, v).tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2)])
 def test_valid_pairs_is_each_validate(p, r, field):
     ctx = field(p, r)
@@ -269,10 +311,10 @@ def test_codes_outside_the_field_are_refused(p, r, field):
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
 def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
-    # a budget of 3q^2 cells puts three a's in a block (the last one
-    # shorter at q = 9, 27); a budget of 1 puts one a in each
+    # a budget of 3q cells puts three rows of the line counts in a block
+    # (the last one shorter at q = 13); a budget of 1 puts one row in each
     q = p ** r
-    for budget in (3 * q * q, 1):
+    for budget in (3 * q, 1):
         monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         ctx = make_field(p, r)                     # fresh: tables are per field
         for family, count, params in (AB_FAMILIES[0], *AB_FAMILIES[2:]):

@@ -333,6 +333,14 @@ def test_order_bound(monkeypatch, field):
     hyp.check_order(3, 40)                         # 3^39 < 2^62
     with pytest.raises(FieldError, match="2\\^62"):
         hyp.check_order(3, 41)
+    # (k-3) q^2 (q-1) cells of recursion within 2^30; order 3 has none
+    hyp.check_order(4093, 3)
+    hyp.check_order(1021, 4)                       # 1021^2 * 1020 < 2^30
+    with pytest.raises(FieldError, match="cells of recursion"):
+        hyp.check_order(1031, 4)                   # the next prime power
+    hyp.check_order(811, 5)                        # 2 * 811^2 * 810 < 2^30
+    with pytest.raises(FieldError, match="cells of recursion"):
+        hyp.check_order(821, 5)
     # hyp_eval refuses before any row is allocated
     ctx = field(7)
     phi = quadratic_character(ctx)
@@ -340,6 +348,10 @@ def test_order_bound(monkeypatch, field):
     monkeypatch.setattr(hyp, "numpy_tables", None)
     with pytest.raises(FieldError, match="order-3"):
         hyp_eval(HypSpec(top=(phi,) * 3, bottom=(phi,) * 2, x=3))
+    monkeypatch.setattr(hyp, "MAX_COLUMN_CELLS", 7 * 6)
+    monkeypatch.setattr(hyp, "MAX_RECURSION_CELLS", 7 * 7 * 6 - 1)
+    with pytest.raises(FieldError, match="order-4 .* recursion"):
+        hyp_eval(HypSpec(top=(phi,) * 4, bottom=(phi,) * 3, x=3))
 
 
 def test_generator_choice_does_not_change_values(field):
