@@ -11,6 +11,12 @@ polynomial string, complex embedding) with no arithmetic: its ring
 operations ``+ - * scale``, ``zero``, ``constant``, ``zeta_power``,
 ``is_zero``, ``to_rational`` and its value equality are gone, as is
 evaluating a :class:`Character` at an element (``chi(x)``).
+
+Helpers that restated one expression are gone too: ``all_characters``
+(``Character(ctx, j)`` for j in range(q - 1)), ``delta_point``,
+``delta_char`` and ``FieldContext.elements()`` (``range(ctx.q)``), as is
+the ``generator=`` option of :func:`make_field`, which always takes the
+smallest generator.
 """
 
 from .audit import (
@@ -26,10 +32,7 @@ from .audit import (
 )
 from .chars import (
     Character,
-    all_characters,
     binomial_symbol,
-    delta_char,
-    delta_point,
     jacobi_sum,
     phi_at_minus_one,
     quadratic_character,
@@ -92,7 +95,6 @@ __all__ = [
     "PointRecord",
     "TwoSquares",
     "WeierstrassParams",
-    "all_characters",
     "audit_identity",
     "binomial_symbol",
     "cornacchia",
@@ -102,8 +104,6 @@ __all__ = [
     "count_huff",
     "count_weierstrass",
     "cyclotomic_polynomial",
-    "delta_char",
-    "delta_point",
     "emit",
     "emit_chunks",
     "hyp_eval",

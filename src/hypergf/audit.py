@@ -39,7 +39,6 @@ a time as it is read, and its capped ``counterexamples``.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from bisect import bisect_right
@@ -192,7 +191,6 @@ class IdentityReport:
 
     identity: str
     provenance: str
-    domain: str
     columns: tuple[FieldColumns, ...] = field(default=(), repr=False)
 
     @cached_property
@@ -717,12 +715,10 @@ def _audit(idents: list[Identity], pairs: list[tuple[int, int]]) -> list[Identit
     """One report per identity over the fields ``pairs``, sorted by q: the
     identities in turn, each field by field.  Each identity is looked up
     again by key, where a tracer may wrap its ``points`` and ``evaluate``."""
-    fields = f"q in {[p ** r for p, r in pairs]}"
     reports = []
     for ident in (identity_by_key(i.key) for i in idents):
         blocks = (_columns_for(ident, p, r) for p, r in pairs)
         reports.append(IdentityReport(ident.key, ident.provenance,
-                                      f"{ident.domain_description}; {fields}",
                                       tuple(b for b in blocks if b is not None)))
     return reports
 
@@ -772,7 +768,7 @@ def sweep(q_max: int, include: str | None = None) -> list[IdentityReport]:
 
 _CSV_COLUMNS = ("identity", "q", "a", "b", "lambda", "lhs", "rhs", "residual", "pass")
 _PARAM_COLUMNS = _CSV_COLUMNS[2:5]     # every identity's param_names keep this order
-_CRLF = "\r\n"
+_CRLF = "\r\n"      # CSV cells are joined bare: no key or column needs quoting
 
 # A record is the text of its k parameter values and its three sides, each
 # behind a fixed gap, then the pass flag with the record's closing text.
@@ -797,7 +793,7 @@ def _json_gaps(key: str, q: int, names: tuple[str, ...]):
 
 
 def _csv_gaps(key: str, q: int, names: tuple[str, ...]):
-    text = f"{_csv_line([key]).removesuffix(_CRLF)},{q}"
+    text = f"{key},{q}"
     gaps = []
     for name in _PARAM_COLUMNS:
         text += ","
@@ -805,12 +801,6 @@ def _csv_gaps(key: str, q: int, names: tuple[str, ...]):
             gaps.append(text)
             text = ""
     return gaps + [text + ",", ",", ","], (",false" + _CRLF, ",true" + _CRLF)
-
-
-def _csv_line(cells) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator=_CRLF).writerow(cells)
-    return buf.getvalue()
 
 
 def _json_summary(report: IdentityReport) -> str:
@@ -826,14 +816,14 @@ def _json_summary(report: IdentityReport) -> str:
 
 
 def _csv_summary(report: IdentityReport) -> str:
-    return _csv_line([report.identity, "", "", "", "", "", "", "",
-                      "true" if report.passed else "false"])
+    flag = "true" if report.passed else "false"
+    return ",".join([report.identity] + [""] * 7 + [flag]) + _CRLF
 
 
 # format: opening, closing, separator between records, gaps, summary record
 _FORMATS = {
     "json": ("[", "]\n", ",", _json_gaps, _json_summary),
-    "csv": (_csv_line(_CSV_COLUMNS), "", "", _csv_gaps, _csv_summary),
+    "csv": (",".join(_CSV_COLUMNS) + _CRLF, "", "", _csv_gaps, _csv_summary),
 }
 
 

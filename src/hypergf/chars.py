@@ -60,20 +60,6 @@ def quadratic_character(ctx: FieldContext) -> Character:
     return Character(ctx, (ctx.q - 1) // 2)
 
 
-def all_characters(ctx: FieldContext) -> list[Character]:
-    return [Character(ctx, j) for j in range(ctx.q - 1)]
-
-
-def delta_point(ctx: FieldContext, x: int) -> int:
-    """delta(x): 1 at the zero element, else 0."""
-    return 1 if x == ctx.zero else 0
-
-
-def delta_char(chi: Character) -> int:
-    """delta(A): 1 for the trivial character, else 0."""
-    return 1 if chi.is_trivial else 0
-
-
 def char_sign_at_minus_one(ctx: FieldContext, j: int) -> int:
     """chi_j(-1) as +-1.  Uses -1 = gen**((q-1)/2)."""
     n = ctx.q - 1

@@ -100,31 +100,19 @@ def rational_from_vector(vec, n: int) -> Fraction:
 
 
 def convolve_cyclic(a, b, n: int) -> list[int]:
-    """Cyclic convolution of two integer vectors of length n: their
+    """Cyclic convolution of two integer vectors of length at most n: their
     product as values.  Nothing in the package multiplies values; the
-    sum over characters that the tests hold the series to does."""
+    sum over characters that the tests hold the series to does.
+
+    One ``np.convolve``, folded mod n: in int64 while every entry and every
+    sum of n products stays below 2**62, else over Python ints."""
     max_a = max(map(abs, a), default=0)
     max_b = max(map(abs, b), default=0)
-    fits_int64 = (
-        n > 0
-        and max(max_a, max_b) < (1 << 62)
-        and max_a * max_b * n < (1 << 62)
-    )
-    if fits_int64:
-        full = np.convolve(np.asarray(a, dtype=np.int64),
-                           np.asarray(b, dtype=np.int64))
-        out = np.zeros(n, dtype=np.int64)
-        for start in range(0, len(full), n):
-            chunk = full[start:start + n]
-            out[: len(chunk)] += chunk
-        return out.tolist()
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % n] += ai * bj
-    return out
+    fits_int64 = max(max_a, max_b) < (1 << 62) and max_a * max_b * n < (1 << 62)
+    dtype = np.int64 if fits_int64 else object
+    full = np.convolve(np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype))
+    padded = np.concatenate([full, np.zeros(-len(full) % n, dtype=dtype)])
+    return padded.reshape(-1, n).sum(axis=0).tolist()
 
 
 class GroupRingElement:

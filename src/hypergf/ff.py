@@ -52,16 +52,7 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -242,10 +233,6 @@ class FieldContext:
         iterable into an element code."""
         return self.from_coeffs([value] if isinstance(value, int) else value)
 
-    def elements(self) -> list[int]:
-        """All q element codes in canonical (lexicographic) order."""
-        return list(range(self.q))
-
     # -- arithmetic: the table kernels on checked codes (-1 reads the last)
 
     def add(self, a: int, b: int) -> int:
@@ -300,13 +287,12 @@ def check_field_size(p: int, r: int) -> int:
     return p ** r
 
 
-def make_field(p: int, r: int = 1, *, generator: int | None = None) -> FieldContext:
+def make_field(p: int, r: int = 1) -> FieldContext:
     """Construct F_{p**r} deterministically.
 
     The modulus is the lexicographically smallest monic irreducible of
     degree r over F_p and the generator the smallest element of order
-    q-1, unless an explicit ``generator`` code is supplied (used to
-    confirm that final rational outputs do not depend on the choice).
+    q-1.
 
     Raises :class:`FieldError` when p is even or composite, r < 1, or
     q exceeds the cap (:func:`q_cap`: 2**16 unless the ``HYPERGF_Q_CAP``
@@ -339,12 +325,7 @@ def make_field(p: int, r: int = 1, *, generator: int | None = None) -> FieldCont
         return all(not np.array_equal(_power(matmul, eye, m, n // ell), eye)
                    for ell in prime_factors(n))
 
-    if generator is None:
-        gen = next(g for g in range(1, q) if order_is_maximal(g))
-    else:
-        if generator <= 0 or generator >= q or not order_is_maximal(generator):
-            raise FieldError(f"{generator} does not generate the multiplicative group")
-        gen = generator
+    gen = next(g for g in range(1, q) if order_is_maximal(g))
 
     # digits of gen**k: rows [m, 2m) are rows [0, m) times gen**m, whose
     # matrix ``step`` is then squared

@@ -6,12 +6,31 @@ the modulus, so it shares only the modulus search, the element codec
 and ``_power`` with the doubling fill.  O(q r^2) Python steps, which
 takes seconds at the largest fields; the tests use it in full only for
 q <= 1000 and for its product :func:`mul_codes` elsewhere.
+
+:func:`with_generator` gives the tests a field with another generator,
+which ``make_field`` never picks.
 """
 
 from __future__ import annotations
 
-from hypergf.ff import (FieldError, _digits, _find_modulus, _poly_rem, _power, _weights,
-                        prime_factors)
+from math import gcd
+
+import numpy as np
+
+from hypergf.ff import (FieldContext, FieldError, _digits, _find_modulus, _poly_rem, _power,
+                        _weights, prime_factors)
+
+
+def with_generator(ctx: FieldContext, u: int) -> FieldContext:
+    """The field of ``ctx`` with generator gen**u, gcd(u, q-1) = 1: the same
+    modulus and codes, the tables re-indexed, exp'[k] = exp[k u mod n] and
+    log'[x] = log[x] / u mod n (log'[0] stays 0)."""
+    n = ctx.q - 1
+    assert gcd(u, n) == 1, f"gen**{u} does not generate F_{ctx.q}^x"
+    exp = ctx.exp[np.arange(n) * u % n]
+    log = ctx.log * pow(u, -1, n) % n
+    exp.flags.writeable = log.flags.writeable = False
+    return FieldContext(ctx.p, ctx.r, ctx.modulus, ctx.exp.item(u % n), exp, log)
 
 
 def _code(digits, weights) -> int:

@@ -198,6 +198,18 @@ def test_emit_csv_schema():
     assert all(row[8] in ("true", "false") for row in summaries)
 
 
+def test_csv_cells_need_no_quoting():
+    # emit joins CSV cells bare; that is csv.writer's output while no key or
+    # column name holds a delimiter, quote or line break, or edge spaces
+    cells = [ident.key for ident in registry()] + list(audit._CSV_COLUMNS)
+    for cell in cells:
+        assert cell and cell == cell.strip() and not set(cell) & set(',"\r\n'), cell
+    text = emit(sweep(13), "csv").decode()
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerows(csv.reader(io.StringIO(text)))
+    assert buf.getvalue() == text
+
+
 def test_emit_empty_and_bad_format():
     assert emit([], "json") == b"[]\n"
     assert emit([], "csv").decode().strip() == "identity,q,a,b,lambda,lhs,rhs,residual,pass"

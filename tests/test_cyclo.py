@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _convolve_referee as referee
 from hypergf import GroupRingElement, NonRationalValueError, cyclotomic_polynomial
 from hypergf.cyclo import convolve_cyclic, rational_from_vector, reduce_mod_cyclotomic
 
@@ -154,20 +155,20 @@ def test_to_rational():
         assert rational_from_vector([r] + [0] * 11, 12) == r
 
 
-def _schoolbook(a, b, n):
-    out = [0] * n
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[(i + j) % n] += x * y
-    return out
-
-
 def test_convolve_cyclic_matches_the_schoolbook_product():
+    # small entries take int64, large ones Python ints; full and short vectors
     rng = random.Random(4242)
-    for n in (1, 3, 4, 7, 12):
-        a = [rng.randint(-9, 9) for _ in range(n)]
-        b = [rng.randint(-9, 9) for _ in range(n)]
-        assert convolve_cyclic(a, b, n) == _schoolbook(a, b, n)
+    edge = (1 << 62) - 1
+    for n in (1, 2, 3, 4, 5, 7, 12):
+        for lo, hi in [(-9, 9), (-edge, edge), (-(1 << 80), 1 << 80)]:
+            for la, lb in [(n, n), (n, 1), (max(1, n - 2), max(1, n // 2))]:
+                a = [rng.randint(lo, hi) for _ in range(la)]
+                b = [rng.randint(lo, hi) for _ in range(lb)]
+                got = convolve_cyclic(a, b, n)
+                assert got == referee.convolve_cyclic(a, b, n), (n, lo, la, lb)
+                assert all(type(c) is int for c in got)
+    assert convolve_cyclic([1, 2], [3, 4], 5) == [3, 10, 8, 0, 0]
+    assert convolve_cyclic([1, 2, 3], [1, 1, 1], 1) == [18]
     # (1 + zeta)(1 - zeta) = 1 - zeta^2 = 2 at n = 4
     assert rational_from_vector(convolve_cyclic([1, 1, 0, 0], [1, -1, 0, 0], 4), 4) == 2
 
@@ -177,7 +178,20 @@ def test_convolve_cyclic_big_values_fall_back_exactly():
     big = 1 << 40
     a = [big, -big, 3]
     b = [big, 2, -1]
-    assert convolve_cyclic(a, b, 3) == _schoolbook(a, b, 3)
+    assert convolve_cyclic(a, b, 3) == referee.convolve_cyclic(a, b, 3)
+    # either side of the product bound max|a| max|b| n < 2**62
+    n, m = 4, 1 << 30
+    for a, b in [([m - 1] * n, [m - 1] * n), ([m] * n, [-m] * n),
+                 ([1 << 61] * n, [3, 0, 0, 0])]:
+        assert convolve_cyclic(a, b, n) == referee.convolve_cyclic(a, b, n)
+    assert convolve_cyclic([m] * n, [m] * n, n) == [n * m * m] * n
+    k = (1 << 31) - 1        # k * k < 2**62, but a sum of n such products overflows int64
+    assert convolve_cyclic([k] * n, [k] * n, n) == [n * k * k] * n
+    # one entry at or past 2**62 against zeros stays exact
+    for big in (1 << 62, 1 << 63, 1 << 100):
+        assert convolve_cyclic([0, big, 0], [0, 0, 0], 3) == [0, 0, 0]
+        assert convolve_cyclic([big], [1], 3) == [big, 0, 0]
+    assert convolve_cyclic([1 << 70], [3, -1], 1) == [2 << 70]
 
 
 def test_poly_string():

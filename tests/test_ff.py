@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -58,12 +59,11 @@ def test_extension_moduli_are_lex_smallest(field):
 
 
 def test_elements_order(field):
-    assert field(5).elements() == [0, 1, 2, 3, 4]
-    e9 = field(3, 2).elements()
-    assert len(e9) == 9 and e9[0] == 0
     # codes enumerate coefficient tuples lexicographically
+    assert [field(5).coeffs(x) for x in range(5)] == [(0,), (1,), (2,), (3,), (4,)]
     ctx = field(3, 2)
-    assert [ctx.coeffs(x) for x in e9[:4]] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert [ctx.coeffs(x) for x in range(4)] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert ctx.coeffs(8) == (2, 2)
 
 
 def test_prime_field_arithmetic(field):
@@ -85,7 +85,7 @@ def test_prime_field_arithmetic(field):
 
 def test_extension_field_laws(field):
     ctx = field(3, 3)
-    xs = ctx.elements()
+    xs = list(range(ctx.q))
     for x in xs:
         assert ctx.add(x, ctx.neg(x)) == 0
         if x:
@@ -126,16 +126,6 @@ def test_make_field_is_pure():
     assert np.array_equal(a.log, b.log)
 
 
-def test_explicit_generator(field):
-    default = field(13)
-    alt = make_field(13, generator=6)     # 6 also generates F_13^x
-    assert alt.gen == 6
-    assert {alt.pow(6, k) for k in range(12)} == set(range(1, 13))
-    with pytest.raises(FieldError, match="generate"):
-        make_field(13, generator=3)       # order 3 only
-    assert default.gen == 2
-
-
 def test_element_coercion(field):
     ctx = field(5)
     assert ctx.element(-1) == 4
@@ -151,6 +141,12 @@ def test_number_theory_helpers():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(48) == [2, 3]
     assert odd_prime_powers(13) == [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+    # is_prime against the sieve
+    primes = [2] + [p for p, r in odd_prime_powers(5000) if r == 1]
+    assert [n for n in range(5001) if is_prime(n)] == primes
+    assert not any(is_prime(n) for n in (-1, -2, -3, -7, -65521))
+    assert is_prime(65519) and is_prime(65521)      # the two largest primes below 2**16
+    assert not is_prime(65519 * 65521)
 
 
 def test_odd_prime_powers_sieve_matches_trial_division():
@@ -187,17 +183,14 @@ def test_fill_equals_referee_for_every_small_field():
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
-def test_explicit_generator_path_equals_referee(p, r):
-    # every candidate code, in range or not: both accept it, or both refuse it
-    for g in range(-1, p ** r + 1):
-        try:
-            expected = referee.referee_field(p, r, g)
-        except FieldError:
-            with pytest.raises(FieldError, match="generate"):
-                make_field(p, r, generator=g)
-        else:
-            assert expected[1] == g
-            _same_as_referee(make_field(p, r, generator=g), g)
+def test_re_indexed_generator_equals_referee(p, r):
+    # every generator gen**u of the field, re-indexed from the default one
+    ctx = make_field(p, r)
+    n = ctx.q - 1
+    for u in (u for u in range(1, n) if gcd(u, n) == 1):
+        alt = referee.with_generator(ctx, u)
+        assert alt.gen == ctx.pow(ctx.gen, u)
+        _same_as_referee(alt, alt.gen)
 
 
 @pytest.mark.parametrize("p,r", [(65521, 1), (3, 10), (7, 5)])
@@ -317,6 +310,9 @@ def test_codes_outside_the_field_are_refused(p, r, field):
 
 
 def test_generator_is_part_of_a_fields_identity(field):
-    default, alt = field(13), make_field(13, generator=6)
+    default = field(13)
+    alt = referee.with_generator(default, 5)      # 2**5 = 6 also generates F_13^x
+    assert (default.gen, alt.gen) == (2, 6)
+    assert [alt.pow(6, k) for k in range(12)] == alt.exp.tolist()
     assert default != alt and default == make_field(13)
     assert hash(default) == hash(make_field(13))

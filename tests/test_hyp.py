@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _chisum_referee as chisum_referee
 import _clausen_referee as clausen_referee
+import _field_referee as field_referee
 import _window_referee as window_referee
 from hypergf import (
     Character,
@@ -30,7 +31,7 @@ from hypergf import (
 )
 from hypergf.audit import cached_field
 from hypergf.cyclo import NonRationalValueError, reduce_mod_cyclotomic
-from hypergf.ff import FieldError, is_prime, odd_prime_powers, prime_factors
+from hypergf.ff import FieldError, is_prime, odd_prime_powers
 
 
 def _phi_phi_eps(ctx, x):
@@ -167,7 +168,8 @@ def test_generic_series_rejects_codes_outside_the_field(p, r, field):
 
 
 def test_fields_that_differ_in_generator_do_not_mix(field):
-    default, alt = field(13), make_field(13, generator=6)
+    default = field(13)
+    alt = field_referee.with_generator(default, 5)      # generator 2**5 = 6
     chi, chi_alt = Character(default, 1), Character(alt, 1)
     assert chi != chi_alt     # chi_1(6) is a different root of unity on each
     eps = trivial_character(default)
@@ -356,15 +358,13 @@ def test_order_bound(monkeypatch, field):
 
 def test_generator_choice_does_not_change_values(field):
     default = field(13)
-    alt = make_field(13, generator=11)
+    alt = field_referee.with_generator(default, 7)      # generator 2**7 = 11
+    assert alt.gen == 11
     for lam in range(13):
         assert two_f_one(default, lam) == two_f_one(alt, lam)
     ext = field(3, 2)
-    n = ext.q - 1
-    alt_gen = next(g for g in range(n, 0, -1)
-                   if all(ext.pow(g, n // ell) != ext.one for ell in prime_factors(n)))
-    alt_ext = make_field(3, 2, generator=alt_gen)
-    assert alt_ext.gen != ext.gen
+    alt_ext = field_referee.with_generator(ext, ext.q - 2)     # gen**-1
+    assert alt_ext.gen == ext.inv(ext.gen) != ext.gen
     for lam in range(9):
         assert two_f_one(ext, lam) == two_f_one(alt_ext, lam)
 
