@@ -22,12 +22,12 @@ and repeated sweeps emit byte-identical output.
 
 Each identity is evaluated over its whole domain in a field at once.
 By Greene's sum q F(lambda) is an integer, so every side of every
-identity is an integer over a denominator fixed per (identity, field):
-1, q, q-1, q^2, p(p-1), or for G-316 the lcm of the generic evaluator's
-values.  An evaluator returns each side as a :class:`Column` of int64
-numerators over that denominator.  It reads the per-field family tables
-of :mod:`hypergf.curves`, the field's :class:`NumpyTables` and one
-per-field column of q F(lambda) built by :func:`two_f_one`.  Residuals
+identity is an integer over a closed-form denominator fixed per
+(identity, field): 1, q, q-1, q^2 or p(p-1).  An evaluator returns each
+side as a :class:`Column` of int64 numerators over that denominator.
+It reads the per-field family tables of :mod:`hypergf.curves`, the
+field's :class:`NumpyTables` and one per-field column of q F(lambda)
+built by :func:`two_f_one`.  Residuals
 and pass flags are integer column arithmetic, and a report's status
 comes from its count of failing rows.  :func:`emit_chunks` renders rows
 straight from the columns, a run of one identity's blocks at a time with
@@ -72,15 +72,10 @@ class Column:
 
     def fractions(self) -> list[Fraction]:
         """Every entry as a Fraction, one object per distinct numerator."""
-        return self._per_distinct(lambda nums: [Fraction(n, self.den) for n in nums]).tolist()
-
-    def _per_distinct(self, make) -> np.ndarray:
-        """``make(distinct numerators)``, one value per distinct numerator,
-        spread back over every entry of an object array."""
         distinct, where = np.unique(self.num, return_inverse=True)
         made = np.empty(len(distinct), dtype=object)
-        made[:] = make(distinct)
-        return made[where]
+        made[:] = [Fraction(n, self.den) for n in distinct.tolist()]
+        return made[where].tolist()
 
 
 @dataclass(frozen=True)
@@ -88,8 +83,10 @@ class Identity:
     """One registry entry.  ``admissible(p, r)`` says whether F_{p^r} is in
     its domain, before any field is built; ``points(ctx)`` is its domain in
     an admissible field, an (n, k) int array of parameter rows in sorted
-    order; ``evaluate(ctx, params)`` returns the exact (lhs, rhs) columns at
-    the rows of ``params``, which may be a whole domain or a single point."""
+    order; ``evaluate(ctx, params)`` takes such an (n, k) array (the whole
+    domain or any of its rows) and returns the exact (lhs, rhs) columns at
+    its rows, each over a closed-form denominator: 1, q, q-1, q^2 or
+    p(p-1)."""
 
     key: str
     provenance: str
@@ -275,12 +272,6 @@ def _series_column(ctx: FieldContext) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _rows(params) -> np.ndarray:
-    """``params``, an (n, k) array or one k-tuple, as k columns of n."""
-    rows = np.asarray(params, dtype=np.int64)
-    return (rows[None] if rows.ndim == 1 else rows).T
-
-
 def _transform_arg(ctx: FieldContext, a: np.ndarray) -> np.ndarray:
     """4a / (1+a)**2."""
     t = numpy_tables(ctx)
@@ -360,7 +351,7 @@ def _points_sqrt_two_or_half(ctx: FieldContext) -> np.ndarray:
 # the registry
 # ---------------------------------------------------------------------------
 
-def _build_registry() -> list[Identity]:
+def _build_registry() -> tuple[Identity, ...]:
     ids: list[Identity] = []
 
     def add(*args, **kwargs):
@@ -370,7 +361,7 @@ def _build_registry() -> list[Identity]:
 
     def printed_curve(family):
         def ev(ctx, params):
-            a, b = _rows(params)
+            a, b = params.T
             t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
             ratio = t.vmul(b, t.vinv(a))
             # the printed closed form at t = b/a, times q-1
@@ -386,7 +377,7 @@ def _build_registry() -> list[Identity]:
         counterpart="C2")
 
     def t41_proof(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         quartic = curves.general_huff_quartic_family(ctx)[a, b]
         return Column(curves.general_huff_family(ctx)[a, b], 1), Column(quartic + 1, 1)
 
@@ -398,7 +389,7 @@ def _build_registry() -> list[Identity]:
         ("a", "b"), _points_ab, t41_proof, counterpart="C2")
 
     def c42(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
         ratio = t.vmul(t.sq[b], t.vinv(t.sq[a]))
         rhs = q * (q - 1) - 2 + q * series[ratio]
@@ -434,7 +425,7 @@ def _build_registry() -> list[Identity]:
 
     def t52(variant):
         def ev(ctx, params):
-            (lam,) = _rows(params)
+            (lam,) = params.T
             q = ctx.q
             lhs = _series_column(ctx)[numpy_tables(ctx).sq[lam]]
             tail = transform_tail(ctx, lam, variant, corrected=False)
@@ -454,7 +445,7 @@ def _build_registry() -> list[Identity]:
     def t53(rhs_num):
         """F(4a/(1+a)^2) against the constant rhs_num(p) / (p(p-1))."""
         def ev(ctx, params):
-            (a,) = _rows(params)
+            (a,) = params.T
             p = ctx.p
             lhs = _series_column(ctx)[_transform_arg(ctx, a)]
             return Column(lhs, p), Column(np.full(len(a), rhs_num(p)), p * (p - 1))
@@ -485,7 +476,7 @@ def _build_registry() -> list[Identity]:
     # ---- corrected forms (oracle-derived; PASS expected) ------------------
 
     def c1(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
         rhs = q + 1 + t.phi[a] * series[t.vmul(b, t.vinv(a))]
         return Column(curves.weierstrass_family(ctx)[a, b], 1), Column(rhs, 1)
@@ -497,7 +488,7 @@ def _build_registry() -> list[Identity]:
         ("a", "b"), _points_ab, c1)
 
     def c2(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         return (Column(curves.general_huff_family(ctx)[a, b], 1),
                 Column(curves.weierstrass_family(ctx)[a, b], 1))
 
@@ -507,7 +498,7 @@ def _build_registry() -> list[Identity]:
         ("a", "b"), _points_ab, c2)
 
     def c3(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         t, series, q = numpy_tables(ctx), _series_column(ctx), ctx.q
         rhs = q + 1 + series[t.vmul(t.sq[b], t.vinv(t.sq[a]))]
         return Column(curves.huff_family(ctx)[a, b], 1), Column(rhs, 1)
@@ -519,7 +510,7 @@ def _build_registry() -> list[Identity]:
 
     def c4(variant):
         def ev(ctx, params):
-            (lam,) = _rows(params)
+            (lam,) = params.T
             lhs = _series_column(ctx)[numpy_tables(ctx).sq[lam]]
             rhs = transform_tail(ctx, lam, variant, corrected=True)
             return Column(lhs, ctx.q), Column(rhs, ctx.q)
@@ -534,7 +525,7 @@ def _build_registry() -> list[Identity]:
             ("lambda",), _points_lambda_not_0_pm1, c4(variant))
 
     def c53(ctx, params):
-        (a,) = _rows(params)
+        (a,) = params.T
         p = ctx.p
         lhs = _series_column(ctx)[_transform_arg(ctx, a)]
         rhs = np.full(len(a), _times(hyp.ono_value_minus1(p), p))
@@ -548,7 +539,7 @@ def _build_registry() -> list[Identity]:
         admissible=_primes(4, 1))
 
     def cedw(ctx, params):
-        a, b = _rows(params)
+        a, b = params.T
         t = numpy_tables(ctx)
         d = t.vmul(t.vsub(a, b), t.vinv(t.vadd(a, b)))
         affine = curves.edwards_affine_family(ctx)[t.sq[d]]
@@ -565,7 +556,7 @@ def _build_registry() -> list[Identity]:
     # ---- quoted classical results (PASS expected) --------------------------
 
     def greflect(ctx, params):
-        (lam,) = _rows(params)
+        (lam,) = params.T
         t, series = numpy_tables(ctx), _series_column(ctx)
         rhs = phi_at_minus_one(ctx) * series[t.one_minus[lam]]
         return Column(series[lam], ctx.q), Column(rhs, ctx.q)
@@ -576,7 +567,7 @@ def _build_registry() -> list[Identity]:
         ("lambda",), _points_lambda_not_0_1, greflect)
 
     def gratio(ctx, params):
-        (lam,) = _rows(params)
+        (lam,) = params.T
         t, series = numpy_tables(ctx), _series_column(ctx)
         arg = t.vmul(lam, t.vinv(t.vsub(lam, ctx.one)))       # 0 at lam = 0
         rhs = t.phi[t.one_minus[lam]] * series[arg]
@@ -588,13 +579,11 @@ def _build_registry() -> list[Identity]:
         ("lambda",), _points_lambda_not_one, gratio)
 
     def g316(ctx, params):
-        (lam,) = _rows(params)
+        (lam,) = params.T
         phi, eps = quadratic_character(ctx), trivial_character(ctx)
-        values = hyp.hyp_values((phi, eps), (phi,), lam)
-        den = lcm(*(v.denominator for v in values))
-        lhs = np.array([_times(v, den) for v in values], dtype=np.int64)
+        lhs = [_times(v, ctx.q) for v in hyp.hyp_values((phi, eps), (phi,), lam)]
         rhs = -phi_at_minus_one(ctx) * (1 + numpy_tables(ctx).phi[lam])
-        return Column(lhs, den), Column(rhs, ctx.q)
+        return Column(np.array(lhs, dtype=np.int64), ctx.q), Column(rhs, ctx.q)
 
     add("G-316", "greene",
         "the (phi, eps; phi) series via the generic evaluator (lhs) = "
@@ -603,7 +592,7 @@ def _build_registry() -> list[Identity]:
         ("lambda",), _points_lambda_not_0_1, g316)
 
     def sedw(ctx, params):
-        (d,) = _rows(params)
+        (d,) = params.T
         d2 = numpy_tables(ctx).sq[d]
         affine = curves.edwards_affine_family(ctx)[d2]
         rhs = 1 + ctx.q + phi_at_minus_one(ctx) * _series_column(ctx)[d2]
@@ -616,7 +605,7 @@ def _build_registry() -> list[Identity]:
         ("lambda",), _points_lambda_not_0_pm1, sedw)
 
     def ominus1(ctx, params):
-        n, p = _rows(params).shape[1], ctx.p
+        n, p = len(params), ctx.p
         lhs = np.full(n, _series_column(ctx)[numpy_tables(ctx).neg_[ctx.one]])
         return Column(lhs, p), Column(np.full(n, _times(hyp.ono_value_minus1(p), p)), p)
 
@@ -626,25 +615,22 @@ def _build_registry() -> list[Identity]:
         "odd primes",
         (), _points_none, ominus1, admissible=_primes())
 
-    return ids
+    return tuple(ids)
 
 
-_REGISTRY: list[Identity] | None = None
+_REGISTRY = _build_registry()
+_BY_KEY = {ident.key: ident for ident in _REGISTRY}
 
 
 def registry() -> list[Identity]:
     """All known identities, in a fixed audit order."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
     return list(_REGISTRY)
 
 
 def identity_by_key(key: str) -> Identity:
-    for ident in registry():
-        if ident.key == key:
-            return ident
-    raise KeyError(f"unknown identity {key!r}")
+    if key not in _BY_KEY:
+        raise KeyError(f"unknown identity {key!r}")
+    return _BY_KEY[key]
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +673,8 @@ def _check_limits(q_max: int) -> None:
     Counts are at most q^2 + 4, |q F(lambda)| <= q and phi is +-1, so
     every lhs and rhs numerator over its denominator (1, q, q-1, q^2 or
     p(p-1)) is below 3 q^2, and every residual numerator over the lcm of
-    the two is below 4 q^3.  G-316's values come from the generic
-    evaluator; their conversion and the residual rescaling check
-    themselves (:func:`_scaled`).
+    the two is below 4 q^3.  G-316's lhs comes from the generic
+    evaluator, so its residual rescaling checks itself (:func:`_scaled`).
     """
     limit = q_cap()
     if q_max > limit:

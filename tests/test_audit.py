@@ -55,10 +55,33 @@ def test_registry_contents():
 
 
 def test_unknown_identity_rejected():
-    with pytest.raises(KeyError, match="unknown"):
+    with pytest.raises(KeyError) as err:
         identity_by_key("T9.9")
+    assert err.value.args == ("unknown identity 'T9.9'",)
     with pytest.raises(KeyError):
         audit_identity("nope", [5])
+
+
+def test_registry_index_finds_each_entry_by_key():
+    idents = registry()
+    # fails if two entries share a key: the index keeps only the last
+    assert all(identity_by_key(ident.key) is ident for ident in idents)
+    # each call returns a new list: changing it leaves the registry whole
+    idents.clear()
+    assert registry() == list(audit._REGISTRY) and len(registry()) >= 15
+
+
+def test_denominators_are_closed_forms():
+    for ident in registry():
+        for p, r in odd_prime_powers(49):
+            if not ident.admissible(p, r):
+                continue
+            q = p ** r
+            block = _columns_for(ident, p, r)
+            for side in (block.lhs, block.rhs):
+                assert side.den in {1, q, q - 1, q * q, p * (p - 1)}, (ident.key, q)
+            if ident.key == "G-316":
+                assert block.lhs.den == q
 
 
 def _no_field_listing(monkeypatch):

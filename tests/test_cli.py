@@ -154,7 +154,7 @@ def test_usage_errors(capsys):
                         "--bottom", "0", "--x", "1")
     assert code == 1
     code, _, err = _run(capsys, "audit", "--identity", "T9.9", "--qmax", "5")
-    assert code == 1
+    assert code == 1 and "unknown identity 'T9.9'" in err
 
 
 @pytest.mark.parametrize("cap, argv", [
