@@ -5,18 +5,6 @@ roots of unity, brute-force point counts for Huff, general Huff,
 Weierstrass and Edwards curve models, and an audit engine that sweeps
 claimed identities between the two and reports exact rational
 residuals.
-
-:class:`GroupRingElement` is a display value (canonical form,
-polynomial string, complex embedding) with no arithmetic: its ring
-operations ``+ - * scale``, ``zero``, ``constant``, ``zeta_power``,
-``is_zero``, ``to_rational`` and its value equality are gone, as is
-evaluating a :class:`Character` at an element (``chi(x)``).
-
-Helpers that restated one expression are gone too: ``all_characters``
-(``Character(ctx, j)`` for j in range(q - 1)), ``delta_point``,
-``delta_char`` and ``FieldContext.elements()`` (``range(ctx.q)``), as is
-the ``generator=`` option of :func:`make_field`, which always takes the
-smallest generator.
 """
 
 from .audit import (
@@ -59,7 +47,7 @@ from .cyclo import (
     cyclotomic_polynomial,
 )
 from .ff import (
-    DEFAULT_Q_CAP,
+    Q_CAP,
     FieldContext,
     FieldError,
     make_field,
@@ -79,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Character",
     "CurveCount",
-    "DEFAULT_Q_CAP",
     "EdwardsParams",
     "FieldContext",
     "FieldError",
@@ -93,6 +80,7 @@ __all__ = [
     "NonRationalValueError",
     "ParameterError",
     "PointRecord",
+    "Q_CAP",
     "TwoSquares",
     "WeierstrassParams",
     "audit_identity",

@@ -41,12 +41,9 @@ from __future__ import annotations
 
 import io
 import json
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Iterator
 
@@ -54,18 +51,18 @@ import numpy as np
 
 from . import curves, hyp
 from .chars import phi_at_minus_one, quadratic_character, trivial_character
-from .ff import (FieldContext, FieldError, make_field, numpy_tables, odd_prime_powers,
-                 per_field, prime_factors, q_cap)
+from .ff import (Q_CAP, FieldContext, FieldError, make_field, numpy_tables, odd_prime_powers,
+                 per_field, prime_factors)
 from .hyp import two_f_one
 
 PROVENANCES = ("printed", "corrected", "greene", "ono")
 COUNTEREXAMPLE_CAP = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Column:
     """Exact rationals ``num[i] / den``: int64 numerators over one
-    positive denominator, not reduced."""
+    positive denominator, not reduced.  Columns compare by identity."""
 
     num: np.ndarray
     den: int
@@ -110,10 +107,10 @@ class PointRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldColumns:
     """One identity over its domain in one field: the parameter rows and
-    the exact lhs, rhs and residual columns."""
+    the exact lhs, rhs and residual columns.  Compared by identity."""
 
     identity: str
     q: int
@@ -136,45 +133,19 @@ class FieldColumns:
                                     self.passed[rows].tolist())]
 
 
-class RecordsView(Sequence):
-    """The records of a run of blocks, in order, as a read-only sequence.
-    Its length is the blocks' row count; iteration builds one block's
-    records at a time, and an index or slice only the records it names
-    (a slice as a list).  It compares equal to a list of the same
-    records."""
+class RecordsView:
+    """The records of a run of blocks, in order.  Its length is the
+    blocks' row count; iteration builds one block's records at a time."""
 
     def __init__(self, blocks: tuple[FieldColumns, ...]):
         self._blocks = blocks
-        self._ends = list(accumulate(len(block.params) for block in blocks))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return sum(len(block.params) for block in self._blocks)
 
     def __iter__(self) -> Iterator[PointRecord]:
         for block in self._blocks:
             yield from block.records()
-
-    def __getitem__(self, index):
-        picked = range(len(self))[index]       # raises as a list of this length would
-        if isinstance(picked, range):
-            return self._at(np.arange(picked.start, picked.stop, picked.step))
-        return self._at(np.array([picked]))[0]
-
-    def _at(self, positions: np.ndarray) -> list[PointRecord]:
-        """The records at monotonic ``positions``, each block's run of them
-        built at once; a block is found by bisecting the cumulative row ends."""
-        which = np.searchsorted(self._ends, positions, side="right")
-        out: list[PointRecord] = []
-        for run in np.split(positions, np.flatnonzero(np.diff(which)) + 1):
-            if len(run):
-                b = bisect_right(self._ends, run[0])
-                out += self._blocks[b].records(run - self._ends[b] + len(self._blocks[b].params))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, RecordsView)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(eq=False)
@@ -232,9 +203,10 @@ _FIELD_CACHE: dict[tuple[int, int], FieldContext] = {}
 WORK_BUDGET = 2 ** 25
 
 # every numerator the evaluators form over F_q, residuals included, is
-# below 4 q^3 in absolute value (see _check_limits); audits are refused
-# unless that stays below 2^62, so the difference of two still fits int64
+# below 4 q^3 in absolute value (see _check_limits); that stays below 2^62
+# for every q up to the cap, so the difference of two still fits int64
 _SAFE_INT64 = 2 ** 62
+assert 4 * Q_CAP ** 3 < _SAFE_INT64, "audit numerators at the cap leave int64"
 
 
 def cached_field(p: int, r: int) -> FieldContext:
@@ -641,11 +613,10 @@ def capped_prime_powers(q_max: int,
                         identities: Iterable[Identity] | None = None) -> list[tuple[int, int]]:
     """All (p, r) with p an odd prime and p**r <= q_max, sorted by q.
     Raises :class:`FieldError` first if q_max exceeds the field-size cap
-    that :func:`make_field` enforces, if int64 columns cannot hold the
-    audit (:func:`_check_limits`), or if auditing ``identities`` (by
-    default the whole registry) over those fields would exceed
-    :data:`WORK_BUDGET`; so no audit starts that would stop at its
-    largest field or run without a bound."""
+    that :func:`make_field` enforces (:func:`_check_limits`), or if
+    auditing ``identities`` (by default the whole registry) over those
+    fields would exceed :data:`WORK_BUDGET`; so no audit starts that would
+    stop at its largest field or run without a bound."""
     _check_limits(q_max)
     pairs = odd_prime_powers(q_max)
     _check_work([p ** r for p, r in pairs], registry() if identities is None else identities,
@@ -667,21 +638,18 @@ def _check_work(qs: list[int], identities: Iterable[Identity], where: str) -> No
 
 
 def _check_limits(q_max: int) -> None:
-    """Raise :class:`FieldError` unless q_max is within the field-size cap
-    and int64 columns hold an audit over every F_q with q <= q_max.
+    """Raise :class:`FieldError` unless q_max is within the field-size cap,
+    under which int64 columns hold an audit over every F_q.
 
     Counts are at most q^2 + 4, |q F(lambda)| <= q and phi is +-1, so
     every lhs and rhs numerator over its denominator (1, q, q-1, q^2 or
     p(p-1)) is below 3 q^2, and every residual numerator over the lcm of
-    the two is below 4 q^3.  G-316's lhs comes from the generic
-    evaluator, so its residual rescaling checks itself (:func:`_scaled`).
+    the two is below 4 q^3 (< 2^62 at the cap, asserted at import).
+    G-316's lhs comes from the generic evaluator, so its residual
+    rescaling checks itself (:func:`_scaled`).
     """
-    limit = q_cap()
-    if q_max > limit:
-        raise FieldError(f"q={q_max} exceeds the configured cap {limit}")
-    if 4 * q_max ** 3 >= _SAFE_INT64:
-        raise FieldError(f"q={q_max} is too large for exact int64 audit columns: "
-                         f"numerators reach 4q^3 = {4 * q_max ** 3} >= 2^62")
+    if q_max > Q_CAP:
+        raise FieldError(f"q={q_max} exceeds the cap {Q_CAP}")
 
 
 def _columns_for(ident: Identity, p: int, r: int) -> FieldColumns | None:

@@ -220,7 +220,7 @@ def _cmd_audit(args) -> int:
         try:
             ident = audit_mod.identity_by_key(args.identity)
         except KeyError as exc:
-            raise UsageError(str(exc)) from None
+            raise UsageError(exc.args[0]) from None
         qs = [p ** r for (p, r) in audit_mod.capped_prime_powers(args.qmax, [ident])]
         reports = []
         if not args.provenance or ident.provenance == args.provenance:

@@ -28,14 +28,13 @@ and the fill.  1 is the top digit c_0 = 1, at place value ``one``, so
 
 from __future__ import annotations
 
-import os
 from functools import wraps
 from math import isqrt
 
 import numpy as np
 
-DEFAULT_Q_CAP = 1 << 16
-Q_CAP_ENV_VAR = "HYPERGF_Q_CAP"
+# the largest field size q allowed
+Q_CAP = 1 << 16
 # kernels that run over blocks of rows keep each block within this many int64 cells
 BLOCK_CELLS = 2 ** 20
 
@@ -266,24 +265,11 @@ class FieldContext:
         return self.log.item(x)
 
 
-def q_cap() -> int:
-    """The largest field size allowed: the ``HYPERGF_Q_CAP`` environment
-    variable if set, else 2**16."""
-    env = os.environ.get(Q_CAP_ENV_VAR)
-    if env is None:
-        return DEFAULT_Q_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise FieldError(f"{Q_CAP_ENV_VAR}={env!r} is not an integer") from None
-
-
 def check_field_size(p: int, r: int) -> int:
-    """q = p**r, or :class:`FieldError` over :func:`q_cap`, found from r
+    """q = p**r, or :class:`FieldError` over :data:`Q_CAP`, found from r
     alone (q >= 2**r) without forming p**r when r >= the cap's bit length."""
-    limit = q_cap()
-    if (abs(p) >= 2 and r >= limit.bit_length()) or p ** r > limit:
-        raise FieldError(f"q = {p}**{r} exceeds the configured cap {limit}")
+    if (abs(p) >= 2 and r >= Q_CAP.bit_length()) or p ** r > Q_CAP:
+        raise FieldError(f"q = {p}**{r} exceeds the cap {Q_CAP}")
     return p ** r
 
 
@@ -295,8 +281,7 @@ def make_field(p: int, r: int = 1) -> FieldContext:
     q-1.
 
     Raises :class:`FieldError` when p is even or composite, r < 1, or
-    q exceeds the cap (:func:`q_cap`: 2**16 unless the ``HYPERGF_Q_CAP``
-    environment variable overrides it).
+    q exceeds the cap (:data:`Q_CAP`, 2**16).
     """
     if r < 1:
         raise FieldError(f"extension degree must be >= 1, got {r}")

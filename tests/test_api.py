@@ -7,10 +7,10 @@ import hypergf
 from hypergf import Character, FieldContext, GroupRingElement, IdentityReport, make_field
 
 PUBLIC_NAMES = [
-    "Character", "CurveCount", "DEFAULT_Q_CAP", "EdwardsParams", "FieldContext",
-    "FieldError", "GeneralHuffParams", "GroupRingElement", "HuffParams", "HypSpec",
-    "Identity", "IdentityReport", "MapReport", "NonRationalValueError", "ParameterError",
-    "PointRecord", "TwoSquares", "WeierstrassParams", "audit_identity", "binomial_symbol",
+    "Character", "CurveCount", "EdwardsParams", "FieldContext", "FieldError",
+    "GeneralHuffParams", "GroupRingElement", "HuffParams", "HypSpec", "Identity",
+    "IdentityReport", "MapReport", "NonRationalValueError", "ParameterError",
+    "PointRecord", "Q_CAP", "TwoSquares", "WeierstrassParams", "audit_identity", "binomial_symbol",
     "cornacchia", "count_edwards_affine", "count_general_huff", "count_general_huff_quartic",
     "count_huff", "count_weierstrass", "cyclotomic_polynomial", "emit", "emit_chunks",
     "hyp_eval", "identity_by_key", "jacobi_sum", "make_field", "map_points",

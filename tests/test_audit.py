@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import tracemalloc
-from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 import _emit_referee as emit_referee
 from _audit_referee import REFEREE
-from hypergf import (FieldError, audit, audit_identity, curves, emit, emit_chunks,
+from hypergf import (Q_CAP, FieldError, audit, audit_identity, curves, emit, emit_chunks,
                      identity_by_key, registry, sweep)
 from hypergf.audit import (_FIELD_CACHE, PROVENANCES, Column, _columns_for, _residual,
                            _scaled, cached_field, capped_prime_powers)
@@ -368,11 +367,10 @@ def test_emit_matches_the_per_block_referee(monkeypatch, run_rows):
             assert chunks == emit_referee.emit_chunks(reports, fmt), (run_rows, fmt)
 
 
-def test_capped_prime_powers_lists_to_999983_then_refuses(monkeypatch):
+def test_capped_prime_powers_lists_to_the_cap_then_refuses():
     # the listing is a sieve; the work budget still refuses it
-    monkeypatch.setenv("HYPERGF_Q_CAP", str(10 ** 7))
     with pytest.raises(FieldError, match="budget"):
-        capped_prime_powers(999983)
+        capped_prime_powers(Q_CAP)
 
 
 def test_domains_are_built_once_per_field():
@@ -429,9 +427,8 @@ def test_audit_identity_budget_counts_the_requested_fields_only(monkeypatch):
     assert not refused & set(_FIELD_CACHE)
     # and before any listing of the prime powers below the requested q
     _no_field_listing(monkeypatch)
-    monkeypatch.setenv("HYPERGF_Q_CAP", str(10 ** 7))
     with pytest.raises(FieldError, match="budget"):
-        audit_identity("G-reflect", [999983])
+        audit_identity("G-reflect", [65521])
 
 
 def test_sweep81_emit_is_pinned():
@@ -472,26 +469,10 @@ def test_records_view_reads_the_blocks_in_order():
     for report in (audit_identity("T5.2a", [3, 5, 7, 9, 11]), sweep(13)[0],
                    _no_columns()):
         view = report.records
-        assert isinstance(view, Sequence) and not isinstance(view, list)
         listed = list(view)
         assert len(view) == len(listed) == sum(len(b.params) for b in report.columns)
         assert bool(view) == bool(listed)
         assert listed == [rec for block in report.columns for rec in block.records()]
-        assert view == listed and listed == view and view == report.records
-        n = len(listed)
-        assert view != [*listed, None] and view != tuple(listed)
-        assert view != listed[::-1] or n < 2
-        for i in (0, 1, n // 2, n - 1, -1, -n, n, -n - 1, 10 ** 6):
-            if -n <= i < n:
-                assert view[i] == listed[i]
-            else:
-                with pytest.raises(IndexError):
-                    view[i]
-        for cut in (slice(None), slice(3, n - 2), slice(-5, None), slice(None, None, -1),
-                    slice(n - 1, 2, -3), slice(1, n * 2, 7), slice(n, 0), slice(-n - 4, 3)):
-            assert view[cut] == listed[cut], cut
-        with pytest.raises(TypeError):
-            view["0"]
 
 
 def test_record_counts_cost_no_records():
@@ -538,18 +519,27 @@ def test_columns_match_the_referee(drawn):
             ref_lhs - ref_rhs, ref_lhs == ref_rhs)
 
 
-def test_int64_headroom_is_checked(monkeypatch):
+def test_int64_headroom_is_checked():
     column = np.array([2 ** 40, -3], dtype=np.int64)
     assert _scaled(column, 2 ** 21).tolist() == [2 ** 61, -3 * 2 ** 21]
     with pytest.raises(OverflowError, match="int64"):
         _scaled(column, 2 ** 22)                   # 2^62 leaves no room for a sum
     with pytest.raises(OverflowError, match="int64"):
         _residual(Column(np.array([2 ** 61]), 1), Column(np.array([1]), 2))
-    # every numerator is below 4q^3: F_{2^20+7} is refused before any field
-    monkeypatch.setenv("HYPERGF_Q_CAP", str(2 ** 21))
+    # every numerator is below 4q^3, under 2^62 up to the cap (asserted at
+    # import); above the cap no audit starts
     assert capped_prime_powers(3) == [(3, 1)]
-    with pytest.raises(FieldError, match="int64"):
+    with pytest.raises(FieldError, match="cap"):
         capped_prime_powers(2 ** 20 + 7)
+
+
+def test_columns_compare_by_identity():
+    # numpy numerators have no single truth value: == on columns of several
+    # rows compares the objects, and does not raise
+    one, two = Column(np.array([1, 2]), 1), Column(np.array([1, 2]), 1)
+    assert one == one and one != two
+    block, again = (_columns_for(identity_by_key("C1"), 5, 1) for _ in range(2))
+    assert block == block and block != again
 
 
 def test_audit_identity_and_sweep_emit_the_same_report():

@@ -402,7 +402,7 @@ def _field_and_pair(draw):
 def test_family_tables_and_c2_on_random_pairs(drawn):
     ctx, a, b = drawn
     lhs, rhs = identity_by_key("C2").evaluate(ctx, np.array([(a, b)]))
-    assert lhs == rhs
+    assert (lhs.num.tolist(), lhs.den) == (rhs.num.tolist(), rhs.den)
     for family, count, params in AB_FAMILIES:
         assert family(ctx)[a, b] == _reference(count, params, ctx, a, b)
     if b != ctx.one:

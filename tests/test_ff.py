@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import _field_referee as referee
-from hypergf import FieldError, make_field, odd_prime_powers
+from hypergf import Q_CAP, FieldError, make_field, odd_prime_powers
 from hypergf.ff import is_prime, numpy_tables, prime_factors
 
 
@@ -33,14 +33,15 @@ def test_composite_and_bad_degree_rejected():
 
 
 def test_cap_enforced(monkeypatch):
-    with pytest.raises(FieldError, match="cap"):
-        make_field(257, 2)       # 66049 > 2**16
-    assert make_field(251, 2).q == 63001   # just inside the default cap
-    monkeypatch.setenv("HYPERGF_Q_CAP", "100")
-    with pytest.raises(FieldError, match="cap"):
-        make_field(101)
-    monkeypatch.setenv("HYPERGF_Q_CAP", "200")
-    assert make_field(101).q == 101
+    assert Q_CAP == 2 ** 16
+    # the cap is fixed: the environment does not set it
+    for env in (None, "100", "abc"):
+        if env is not None:
+            monkeypatch.setenv("HYPERGF_Q_CAP", env)
+        with pytest.raises(FieldError, match="cap"):
+            make_field(257, 2)       # 66049 > 2**16
+        assert make_field(251, 2).q == 63001   # just inside the cap
+        assert make_field(101).q == 101
 
 
 def test_f9_modulus_and_square_root_of_minus_one(field):
