@@ -4,8 +4,8 @@ A character chi_j is indexed by j mod (q-1): chi_j(gen**k) = zeta**(j*k)
 with zeta a fixed primitive (q-1)-th root of unity, extended by
 chi(0) = 0.  Index 0 is the trivial character eps; index (q-1)/2 the
 quadratic character phi.  Character products and inverses are index
-arithmetic, which keeps sums over all characters enumerable as plain
-ranges.
+arithmetic, which callers do on ``.j``; that keeps sums over all
+characters enumerable as plain ranges.
 
 Jacobi sums and binomial symbols are integer vectors over the
 (q-1)-th roots of unity (``jacobi_vector``, ``scaled_binomial_vector``),
@@ -35,21 +35,6 @@ class Character:
 
     def __post_init__(self):
         object.__setattr__(self, "j", self.j % (self.ctx.q - 1))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.j == 0
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.j == (self.ctx.q - 1) // 2
-
-    def __mul__(self, other: Character) -> Character:
-        return Character(same_field(self, other), self.j + other.j)
-
-    def conjugate(self) -> Character:
-        """The inverse character 1/chi."""
-        return Character(self.ctx, -self.j)
 
 
 def trivial_character(ctx: FieldContext) -> Character:

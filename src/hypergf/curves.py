@@ -353,10 +353,6 @@ class MapReport:
     source_total: int
     target_total: int
 
-    @property
-    def totals_match(self) -> bool:
-        return self.source_total == self.target_total
-
 
 def map_points(ctx: FieldContext, source_model: str, target_model: str,
                params) -> MapReport:

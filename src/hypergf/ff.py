@@ -252,18 +252,6 @@ class FieldContext:
             raise ZeroDivisionError("inverse of zero in finite field")
         return int(numpy_tables(self).inv_[a])
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply, e >= 0."""
-        if e < 0:
-            raise ValueError("pow expects a nonnegative exponent")
-        return _power(self.mul, self.one, self.check_code(a), e)
-
-    def dlog(self, x: int) -> int:
-        """Discrete log base gen; defined for nonzero x only."""
-        if self.check_code(x) == 0:
-            raise ValueError("discrete log of zero is undefined")
-        return self.log.item(x)
-
 
 def check_field_size(p: int, r: int) -> int:
     """q = p**r, or :class:`FieldError` over :data:`Q_CAP`, found from r

@@ -229,6 +229,7 @@ def _sign_planes(ctx: FieldContext) -> tuple:
     n = ctx.q - 1
     # g**j - 1 has code (exp[j] - one) % q by the ff module's 1 + y rule.
     # Bit j of U is set iff u[j] = phi(g**j - 1) = -1; bit 0 is clear, as log[0] = 0.
+    # log parity, not numpy_tables(ctx).phi: building those tables outlasts this whole cold call
     par = ctx.log[(ctx.exp - ctx.one) % ctx.q] % 2
     u_bytes = np.packbits(par, bitorder="little").tobytes()
     u = int.from_bytes(u_bytes, "little")

@@ -8,7 +8,8 @@ takes seconds at the largest fields; the tests use it in full only for
 q <= 1000 and for its product :func:`mul_codes` elsewhere.
 
 :func:`with_generator` gives the tests a field with another generator,
-which ``make_field`` never picks.
+which ``make_field`` never picks, and :func:`power` powers by repeated
+products.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def mul_codes(p: int, modulus: tuple[int, ...], a: int, b: int) -> int:
     weights = _weights(p, len(modulus) - 1)
     return _code(_poly_mul_mod(_digits(a, weights), _digits(b, weights), modulus, p),
                  weights)
+
+
+def power(ctx: FieldContext, a: int, e: int) -> int:
+    """a**e in ``ctx``, e >= 0, as e products ``ctx.mul`` from 1: the
+    powers the exp table is checked against."""
+    acc = ctx.one
+    for _ in range(e):
+        acc = ctx.mul(acc, a)
+    return acc
 
 
 def referee_field(p: int, r: int = 1, generator: int | None = None):

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
 FIELD_ATTRIBUTES = ["p", "r", "q", "modulus", "gen", "exp", "log"]
 FIELD_METHODS = [
     "zero", "one", "check_code", "coeffs", "from_coeffs", "element",
-    "add", "sub", "neg", "mul", "inv", "pow", "dlog",
+    "add", "sub", "neg", "mul", "inv",
 ]
 
 REPORT_FIELDS = ["identity", "provenance", "columns"]

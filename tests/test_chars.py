@@ -31,14 +31,15 @@ def test_character_group_structure(field):
     ctx = field(13)
     eps = trivial_character(ctx)
     phi = quadratic_character(ctx)
-    assert eps.is_trivial and phi.is_quadratic
-    assert (phi * phi).is_trivial
+    assert (eps.j, phi.j) == (0, 6)
+    assert Character(ctx, phi.j + phi.j) == eps
     chi = Character(ctx, 5)
-    assert (chi * Character(ctx, 9)).j == 2           # index addition mod 12
-    assert chi.conjugate().j == 7
-    assert (chi * chi.conjugate()).is_trivial
+    assert Character(ctx, chi.j + 9).j == 2           # index addition mod 12
+    conj = Character(ctx, -chi.j)
+    assert conj.j == 7
+    assert Character(ctx, chi.j + conj.j) == eps
     with pytest.raises(ValueError):
-        chi * Character(field(5), 1)
+        jacobi_sum(chi, Character(field(5), 1))
 
 
 @pytest.mark.parametrize("p,r,want", [(5, 1, 1), (7, 1, -1), (13, 1, 1),
@@ -48,7 +49,7 @@ def test_phi_at_minus_one(p, r, want, field):
     assert phi_at_minus_one(ctx) == want
     assert want == (1 if ctx.q % 4 == 1 else -1)
     # agrees with direct evaluation: -1 = gen**k has phi(-1) = (-1)**k
-    assert (-1) ** ctx.dlog(ctx.neg(ctx.one)) == want
+    assert (-1) ** ctx.log.item(ctx.neg(ctx.one)) == want
 
 
 @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (3, 2), (13, 1)])
@@ -65,7 +66,8 @@ def test_jacobi_values_f5(field):
     assert _rational(jacobi_sum(phi, phi)) == -1      # terms -1 +1 -1
     j11 = jacobi_sum(chi, chi)
     assert j11.canonical() == (Fraction(-1), Fraction(-2))   # -1 - 2*zeta
-    j33 = jacobi_sum(chi.conjugate(), chi.conjugate())
+    conj = Character(ctx, -chi.j)
+    j33 = jacobi_sum(conj, conj)
     assert j33.canonical() == (Fraction(-1), Fraction(2))
     assert rational_from_vector(convolve_cyclic(j11.num, j33.num, 4), 4) == 5   # |J|^2 = q
     assert abs(abs(j11.embed()) - 5 ** 0.5) < 1e-9
@@ -139,7 +141,7 @@ def test_galois_stable_sums_are_rational(field):
     phi = quadratic_character(ctx)
     total = [0] * n
     for chi in (Character(ctx, j) for j in range(n)):
-        vec = scaled_binomial_vector(ctx, (phi * chi).j, chi.j)
+        vec = scaled_binomial_vector(ctx, (phi.j + chi.j) % n, chi.j)
         total = [t + v for t, v in zip(total, vec)]
     rational_from_vector(total, n)   # must not raise
     with pytest.raises(NonRationalValueError):

@@ -164,7 +164,7 @@ def test_map_points_inverse_direction(field):
     assert rep.exceptional_source == 3
     assert rep.exceptional_target == 1
     assert rep.injective and rep.images_on_target
-    assert rep.totals_match
+    assert rep.source_total == rep.target_total
 
 
 @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (3, 2)])
@@ -175,7 +175,7 @@ def test_map_points_structure_sweep(p, r, field):
     for a, b in pairs:
         rep = map_points(ctx, "ghuff", "weier", GeneralHuffParams(a, b))
         assert rep.injective and rep.images_on_target
-        assert rep.totals_match
+        assert rep.source_total == rep.target_total
         assert rep.mapped == rep.source_total - 3 - rep.exceptional_source
         assert rep.mapped == rep.target_total - 1 - rep.exceptional_target
 

@@ -13,9 +13,9 @@ def test_make_field_f5(field):
     ctx = field(5)
     assert (ctx.p, ctx.r, ctx.q) == (5, 1, 5)
     assert ctx.gen == 2          # smallest element of order 4
-    assert ctx.dlog(4) == 2      # 2**2 = 4
-    assert ctx.dlog(1) == 0
-    assert ctx.dlog(2) == 1      # dlog(gen**k) = k
+    assert ctx.log.item(4) == 2      # 2**2 = 4
+    assert ctx.log.item(1) == 0
+    assert ctx.log.item(2) == 1      # log(gen**k) = k
     assert ctx.modulus == (0, 1)
 
 
@@ -74,14 +74,10 @@ def test_prime_field_arithmetic(field):
     assert ctx.add(3, 4) == 2
     assert ctx.sub(1, 3) == 3
     assert ctx.mul(3, 4) == 2
-    assert ctx.pow(2, 10) == 4  # 1024 mod 5
-    assert ctx.pow(3, 0) == 1 and ctx.pow(0, 0) == 1 and ctx.pow(0, 7) == 0
+    assert referee.power(ctx, 2, 10) == 4  # 1024 mod 5
+    assert referee.power(ctx, 0, 7) == 0
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
-    with pytest.raises(ValueError):
-        ctx.dlog(0)
-    with pytest.raises(ValueError):
-        ctx.pow(2, -1)
 
 
 def test_extension_field_laws(field):
@@ -104,18 +100,18 @@ def test_extension_field_laws(field):
 def test_generator_completeness(p, r, field):
     ctx = field(p, r)
     q = ctx.q
-    powers = {ctx.pow(ctx.gen, k) for k in range(q - 1)}
+    powers = {referee.power(ctx, ctx.gen, k) for k in range(q - 1)}
     assert powers == set(range(1, q))
-    assert ctx.pow(ctx.gen, (q - 1) // 2) == ctx.neg(ctx.one)
+    assert referee.power(ctx, ctx.gen, (q - 1) // 2) == ctx.neg(ctx.one)
 
 
 @pytest.mark.parametrize("p,r", [(5, 1), (13, 1), (3, 2), (7, 2), (3, 3)])
 def test_dlog_is_homomorphism(p, r, field):
     ctx = field(p, r)
-    n = ctx.q - 1
+    n, log = ctx.q - 1, ctx.log.item
     for x in range(1, ctx.q):
         for y in range(1, ctx.q):
-            assert ctx.dlog(ctx.mul(x, y)) == (ctx.dlog(x) + ctx.dlog(y)) % n
+            assert log(ctx.mul(x, y)) == (log(x) + log(y)) % n
 
 
 def test_make_field_is_pure():
@@ -190,7 +186,7 @@ def test_re_indexed_generator_equals_referee(p, r):
     n = ctx.q - 1
     for u in (u for u in range(1, n) if gcd(u, n) == 1):
         alt = referee.with_generator(ctx, u)
-        assert alt.gen == ctx.pow(ctx.gen, u)
+        assert alt.gen == referee.power(ctx, ctx.gen, u)
         _same_as_referee(alt, alt.gen)
 
 
@@ -215,7 +211,7 @@ def test_one_store_read_only(field):
         for arr in (ctx.exp, ctx.log, t.mlog, t.mexp):
             with pytest.raises(ValueError):
                 arr[1] = 0
-        assert type(ctx.mul(2, 3)) is int and type(ctx.dlog(2)) is int
+        assert type(ctx.mul(2, 3)) is int
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +295,11 @@ def test_codes_outside_the_field_are_refused(p, r, field):
     for x in (-1, ctx.q, 10 ** 9):
         with pytest.raises(ValueError, match="not an element code"):
             ctx.check_code(x)
-        with pytest.raises(ValueError, match="not an element code"):
-            ctx.dlog(x)
         for op in (ctx.add, ctx.sub, ctx.mul):
             for args in ((x, 0), (0, x), (x, 1), (1, x)):
                 with pytest.raises(ValueError, match="not an element code"):
                     op(*args)
-        for op in (ctx.neg, ctx.inv, ctx.coeffs, lambda a: ctx.pow(a, 0)):
+        for op in (ctx.neg, ctx.inv, ctx.coeffs):
             with pytest.raises(ValueError, match="not an element code"):
                 op(x)
 
@@ -314,6 +308,6 @@ def test_generator_is_part_of_a_fields_identity(field):
     default = field(13)
     alt = referee.with_generator(default, 5)      # 2**5 = 6 also generates F_13^x
     assert (default.gen, alt.gen) == (2, 6)
-    assert [alt.pow(6, k) for k in range(12)] == alt.exp.tolist()
+    assert [referee.power(alt, 6, k) for k in range(12)] == alt.exp.tolist()
     assert default != alt and default == make_field(13)
     assert hash(default) == hash(make_field(13))
