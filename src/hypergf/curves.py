@@ -333,12 +333,10 @@ def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
 class MapReport:
     """Outcome of applying a rational model map to every affine point.
 
-    For pairs with an explicit pointwise map, ``mapped`` counts source
-    points with nonvanishing denominator, the exceptional counts are the
-    source/target points where the forward/inverse map denominators
-    vanish, and the flags certify injectivity and that every image lies
-    on the target curve.  For parameter-level pairs (no printed point
-    map) only the totals are compared and the flags are None.
+    ``mapped`` counts source points with nonvanishing denominator, the
+    exceptional counts are the source/target points where the
+    forward/inverse map denominators vanish, and the flags certify
+    injectivity and that every image lies on the target curve.
     """
 
     source_model: str
@@ -348,8 +346,8 @@ class MapReport:
     mapped: int
     exceptional_source: int
     exceptional_target: int
-    injective: bool | None
-    images_on_target: bool | None
+    injective: bool
+    images_on_target: bool
     source_total: int
     target_total: int
 
@@ -358,18 +356,12 @@ def map_points(ctx: FieldContext, source_model: str, target_model: str,
                params) -> MapReport:
     """Apply the model isomorphism pointwise and report the bookkeeping.
 
-    Supported pairs: ghuff<->weier (explicit rational maps
+    Supported pairs: ghuff<->weier, by the explicit rational maps
     u = (bx - ay)/(y - x), v = (b - a)/(y - x) and inverse
-    x = (u + a)/v, y = (u + b)/v), huff->ghuff (parameters squared),
-    and huff->edwards (parameter d = (a - b)/(a + b), count-level only).
+    x = (u + a)/v, y = (u + b)/v.
     """
-    pair = (source_model, target_model)
-    if pair in (("ghuff", "weier"), ("weier", "ghuff")):
+    if (source_model, target_model) in (("ghuff", "weier"), ("weier", "ghuff")):
         return _map_ghuff_weier(ctx, params, source_model, target_model)
-    if pair == ("huff", "ghuff"):
-        return _map_huff_ghuff(ctx, params)
-    if pair == ("huff", "edwards"):
-        return _map_huff_edwards(ctx, params)
     raise ParameterError(f"unsupported model pair {source_model} -> {target_model}")
 
 
@@ -404,31 +396,3 @@ def _map_ghuff_weier(ctx: FieldContext, params: GeneralHuffParams,
         injective=len(np.unique(image[0] * ctx.q + image[1])) == mapped,
         images_on_target=bool(on_tgt(*image).all()),
         source_total=len(keep) + src_inf, target_total=len(tgt[0]) + tgt_inf)
-
-
-def _map_huff_ghuff(ctx: FieldContext, params: HuffParams) -> MapReport:
-    params.validate(ctx)
-    a2, b2 = ctx.mul(params.a, params.a), ctx.mul(params.b, params.b)
-    return _count_level(ctx, params, "ghuff", (a2, b2),
-                        count_general_huff(ctx, GeneralHuffParams(a2, b2)).total)
-
-
-def _map_huff_edwards(ctx: FieldContext, params: HuffParams) -> MapReport:
-    params.validate(ctx)
-    apb = ctx.add(params.a, params.b)
-    if apb == ctx.zero:
-        raise ParameterError("Edwards parameter (a-b)/(a+b) undefined: a + b = 0")
-    d = ctx.mul(ctx.sub(params.a, params.b), ctx.inv(apb))
-    d2 = ctx.mul(d, d)
-    return _count_level(ctx, params, "edwards", (d2,),
-                        count_edwards_affine(ctx, EdwardsParams(d2)))
-
-
-def _count_level(ctx: FieldContext, params: HuffParams, target: str,
-                 target_params: tuple, target_total: int) -> MapReport:
-    """A Huff map with no printed point map: only the totals are compared."""
-    return MapReport(
-        "huff", target, (params.a, params.b), target_params,
-        mapped=0, exceptional_source=0, exceptional_target=0,
-        injective=None, images_on_target=None,
-        source_total=count_huff(ctx, params).total, target_total=target_total)

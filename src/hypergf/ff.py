@@ -339,14 +339,14 @@ def per_field(build):
 
 
 class NumpyTables:
-    """Vectorized views of one field: the context's own log/exp arrays
+    """Vectorized views of one field: the context's own log array
     (``log_[0]`` is 0 and must always be masked), inverses, negation,
     squares, the number-of-square-roots table, quadratic-character values,
     and the codes of 1-x.
 
     Products go through one padded table, read-only like the store it is
     derived from: ``mlog`` is ``log_`` with code 0 sent to 2n-1, and
-    ``mexp`` is ``exp_`` repeated to length 2n-1 followed by 2n zeros, so
+    ``mexp`` is ``ctx.exp`` repeated to length 2n-1 followed by 2n zeros, so
     ``mexp[mlog[a] + mlog[b]]`` is a*b for every pair of codes, zeros
     included, with no reduction mod n and no mask.
 
@@ -354,7 +354,7 @@ class NumpyTables:
     plus b where a = 0 (``inv_[0]`` is 0).  Prime fields (``one`` = 1) add
     residue codes instead: 4-5 times faster than the two products."""
 
-    __slots__ = ("q", "n", "one", "log_", "exp_", "mlog", "mexp", "inv_", "neg_",
+    __slots__ = ("q", "n", "one", "log_", "mlog", "mexp", "inv_", "neg_",
                  "sq", "nsqrt", "phi", "one_minus")
 
     def __init__(self, ctx: FieldContext):
@@ -362,7 +362,6 @@ class NumpyTables:
         n = self.n = q - 1
         self.one = ctx.one
         self.log_ = ctx.log
-        self.exp_ = ctx.exp
         # a log sum of two nonzero codes is at most 2n-2; one with a zero
         # factor lands in [2n-1, 4n-2], where mexp holds zeros
         self.mlog = ctx.log.copy()

@@ -21,8 +21,8 @@ from hypergf.ff import FieldContext, numpy_tables
 def numerators(ctx: FieldContext, lams) -> list[int]:
     """q F(lambda) at each nonzero element code of ``lams``."""
     t = numpy_tables(ctx)
-    u = t.phi[t.one_minus[t.exp_]]          # phi(1 - g**i); phi(g**i) = (-1)**i
-    w = phi_at_minus_one(ctx) * t.phi[t.exp_] * u
+    u = t.phi[t.one_minus[ctx.exp]]         # phi(1 - g**i); phi(g**i) = (-1)**i
+    w = phi_at_minus_one(ctx) * t.phi[ctx.exp] * u
     u2 = np.concatenate((u, u))
     out = []
     for lam in lams:

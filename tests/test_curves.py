@@ -181,18 +181,15 @@ def test_map_points_structure_sweep(p, r, field):
 
 
 def test_map_points_huff_pairs(field):
+    # the Huff relations are count identities, not point maps: Huff(1, 2)
+    # has the general Huff(1, 4) count, and d = (1-2)/(1+2) = 3, d^2 = 4
     ctx = field(5)
-    rep = map_points(ctx, "huff", "ghuff", HuffParams(1, 2))
-    assert rep.target_params == (1, 4)
-    assert rep.source_total == rep.target_total == 8
-    assert rep.injective is None
-    edw = map_points(ctx, "huff", "edwards", HuffParams(1, 2))
-    assert edw.target_params == (4,)        # d = (1-2)/(1+2) = 3, d^2 = 4
-    assert edw.source_total == 8 and edw.target_total == 4
-    with pytest.raises(ParameterError):
-        map_points(ctx, "huff", "edwards", HuffParams(1, 4))  # b/a = -1
-    with pytest.raises(ParameterError):
-        map_points(ctx, "edwards", "huff", HuffParams(1, 2))
+    assert count_huff(ctx, HuffParams(1, 2)).total == 8
+    assert count_general_huff(ctx, GeneralHuffParams(1, 4)).total == 8
+    assert count_edwards_affine(ctx, EdwardsParams(4)) == 4
+    for pair in (("huff", "ghuff"), ("huff", "edwards"), ("edwards", "huff")):
+        with pytest.raises(ParameterError, match="unsupported model pair"):
+            map_points(ctx, *pair, HuffParams(1, 2))
 
 
 def _valid(params, ctx):
@@ -302,8 +299,7 @@ def test_codes_outside_the_field_are_refused(p, r, field):
                       (count_weierstrass, WeierstrassParams(a, b))]
             calls += [(lambda ctx, params, pair=pair: map_points(ctx, *pair, params),
                        HuffParams(a, b))
-                      for pair in (("ghuff", "weier"), ("weier", "ghuff"),
-                                   ("huff", "ghuff"), ("huff", "edwards"))]
+                      for pair in (("ghuff", "weier"), ("weier", "ghuff"))]
         for call, params in calls:
             with pytest.raises(ValueError, match="is not an element code"):
                 call(ctx, params)

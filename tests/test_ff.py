@@ -205,7 +205,7 @@ def test_fill_at_large_fields(p, r):
 def test_one_store_read_only(field):
     for ctx in (field(13), field(3, 2)):
         t = numpy_tables(ctx)
-        assert t.log_ is ctx.log and t.exp_ is ctx.exp
+        assert t.log_ is ctx.log
         assert ctx.log.dtype == ctx.exp.dtype == np.int64
         assert (len(ctx.exp), len(ctx.log), ctx.log[0]) == (ctx.q - 1, ctx.q, 0)
         for arr in (ctx.exp, ctx.log, t.mlog, t.mexp):
