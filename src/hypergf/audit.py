@@ -553,9 +553,9 @@ def _build_registry() -> tuple[Identity, ...]:
     def g316(ctx, params):
         (lam,) = params.T
         phi, eps = quadratic_character(ctx), trivial_character(ctx)
-        lhs = [_times(v, ctx.q) for v in hyp.hyp_values((phi, eps), (phi,), lam)]
+        lhs = hyp.hyp_numerators((phi, eps), (phi,), lam)     # q times the series
         rhs = -phi_at_minus_one(ctx) * (1 + numpy_tables(ctx).phi[lam])
-        return Column(np.array(lhs, dtype=np.int64), ctx.q), Column(rhs, ctx.q)
+        return Column(lhs, ctx.q), Column(rhs, ctx.q)
 
     add("G-316", "greene",
         "the (phi, eps; phi) series via the generic evaluator (lhs) = "
@@ -863,15 +863,20 @@ def _run_texts(identity: str, run: list[FieldColumns], separator: str, gaps) -> 
 def _sides(run, which, leads, rhs_gap, res_gap, closings) -> np.ndarray:
     """Each row's text from its block's lhs gap (``leads``) through its
     closing, in an object array.  The residual and pass flag follow from
-    the block, lhs and rhs, so each distinct (block, lhs, rhs), keyed by
-    the dense ranks of the two numerators, is reduced with ``np.gcd`` and
-    formatted once.  The key is below rows**3, within int64."""
+    the block, lhs and rhs, so each distinct (block, lhs, rhs) is reduced
+    with ``np.gcd`` and formatted once, from any one of its rows.  One sort
+    of a mixed-radix key finds them: each numerator is its offset from the
+    run's least, or, where that key could leave int64, its dense rank
+    (the key is then below rows**3)."""
     lhs, rhs, res = (np.concatenate([getattr(block, side).num for block in run])
                      for side in ("lhs", "rhs", "residual"))
-    lhs_values, lhs_rank = np.unique(lhs, return_inverse=True)
-    rhs_values, rhs_rank = np.unique(rhs, return_inverse=True)
-    key = (which * len(lhs_values) + lhs_rank) * len(rhs_values) + rhs_rank
-    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    (lhs_at, lhs_span), (rhs_at, rhs_span) = (_offsets(lhs), _offsets(rhs))
+    if len(run) * lhs_span * rhs_span >= 1 << 62:
+        (lhs_at, lhs_span), (rhs_at, rhs_span) = (_ranks(lhs), _ranks(rhs))
+    key = (which * lhs_span + lhs_at) * rhs_span + rhs_at
+    distinct, where = np.unique(key, return_inverse=True)
+    first = np.empty(len(distinct), dtype=np.intp)
+    first[where] = np.arange(len(key))
     blocks = which[first]
 
     def reduced(nums, side):
@@ -885,6 +890,20 @@ def _sides(run, which, leads, rhs_gap, res_gap, closings) -> np.ndarray:
                    blocks.tolist(), *reduced(lhs, "lhs"), *reduced(rhs, "rhs"),
                    *reduced(res, "residual"), (res[first] == 0).tolist())]
     return made[where]
+
+
+def _offsets(nums: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each numerator's offset from the least, and the span of offsets.
+    The offsets wrap where the span leaves int64; :func:`_sides` then
+    reads ranks instead."""
+    low = int(nums.min())
+    return nums - low, int(nums.max()) - low + 1
+
+
+def _ranks(nums: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each numerator's dense rank, and the number of ranks."""
+    values, rank = np.unique(nums, return_inverse=True)
+    return rank, len(values)
 
 
 def emit(reports: list[IdentityReport], format: str = "json") -> bytes:

@@ -5,7 +5,19 @@ zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives: two
 are the same number when their remainders modulo the n-th cyclotomic
 polynomial Phi_n agree.  The one reduction is an integer long division,
 at their nonzero terms, by a chain of multiples of Phi_n that ends in
-Phi_n; :func:`rational_from_vector` reads a rational value off it.
+Phi_n; it gives the canonical form.
+
+Rationality is read a whole block of vectors at a time, in the power
+basis of Z[zeta_n] as the tensor product of the Z[zeta_Q] over the prime
+powers Q = p**e exactly dividing n (Washington, ch. 2): entry m goes to
+the index (m mod Q) on each Q's axis, and each axis, viewed as a
+(p, Q/p) array, loses its last row by subtracting it from the others,
+since Phi_Q(x) = 1 + x**(Q/p) + ... + x**((p-1)Q/p).  What is left is
+the power basis of Z[zeta_Q], and a value is rational iff every
+coordinate but the origin is 0 (:func:`rational_values`).  Each fold at
+most doubles an entry, so the block stays in int64 while its largest
+entry times 2**omega(n) (omega(n) the number of primes of n) is below
+2**63, and is held as Python ints otherwise.
 
 :class:`GroupRingElement` holds such a vector over one denominator for
 display only: its canonical form, a polynomial string and a floating
@@ -23,7 +35,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .ff import prime_factors
+from .ff import prime_factors, row_blocks
 
 
 class NonRationalValueError(ValueError):
@@ -90,13 +102,67 @@ def reduce_mod_cyclotomic(vec, n: int) -> tuple[int, ...]:
     return tuple(work)
 
 
+@lru_cache(maxsize=None)
+def _crt_axes(n: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The (p, Q) of each prime power Q exactly dividing n, and the order
+    of the exponents m that lays a length-n vector out as a C-order array
+    with one axis per Q, entry m at the index (m mod Q) on each."""
+    axes = []
+    for p in prime_factors(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        axes.append((p, q))
+    m = np.arange(n)
+    place = np.zeros(n, dtype=np.int64)
+    for _, q in axes:
+        place = place * q + m % q
+    order = np.empty(n, dtype=np.int64)
+    order[place] = m
+    order.flags.writeable = False
+    return axes, order
+
+
+def rational_values(rows, n: int) -> np.ndarray:
+    """The rational value of each integer vector of an (R, n) block, as R
+    int64 (or, past the int64 bound, Python int) entries.  Raises
+    :class:`NonRationalValueError` if any vector is not rational.
+
+    Read in the CRT power basis (module docstring), one block of
+    ``ff.BLOCK_CELLS`` cells at a time; no vector is divided by Phi_n."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"expected an (R, {n}) block, got shape {rows.shape}")
+    if rows.dtype == object:
+        rows = np.frompyfunc(operator.index, 1, 1)(rows)
+    elif rows.dtype.kind not in "iu":
+        raise TypeError(f"expected integer entries, got {rows.dtype}")
+    axes, order = _crt_axes(n)
+    peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+    dtype = np.int64 if peak << len(axes) < (1 << 63) else object
+    out = np.empty(len(rows), dtype=dtype)
+    for s in row_blocks(len(rows), n):
+        block = rows[s][:, order].astype(dtype)
+        r, done, rest = len(block), 1, n
+        for p, q in axes:
+            rest //= q
+            block = block.reshape(r, done, p, q // p, rest)
+            block = block[:, :, :-1] - block[:, :, -1:]
+            done *= q - q // p
+        block = block.reshape(r, done)
+        bad = np.flatnonzero(block[:, 1:].any(axis=1))
+        if len(bad):
+            raise NonRationalValueError(
+                f"row {s.start + bad[0]} has a coordinate off zeta^0 in the "
+                f"power basis modulo Phi_{n}")
+        out[s] = block[:, 0]
+    return out
+
+
 def rational_from_vector(vec, n: int) -> Fraction:
-    """Exact rational value of an integer group-ring vector, if it has one."""
-    can = reduce_mod_cyclotomic(vec, n)
-    if any(can[1:]):
-        raise NonRationalValueError(
-            f"canonical form has degree > 0 modulo Phi_{n}: {can}")
-    return Fraction(can[0])
+    """Exact rational value of an integer group-ring vector of length n,
+    if it has one: :func:`rational_values` of a one-row block."""
+    return Fraction(int(rational_values([vec], n)[0]))
 
 
 def convolve_cyclic(a, b, n: int) -> list[int]:

@@ -26,7 +26,8 @@ series needs the level below as a (q, q-1) int64 column, and each of
 its k-3 levels between the 2F1 and the top one costs q**2 (q-1) cells.
 :func:`check_order` refuses a column beyond ``MAX_COLUMN_CELLS`` cells,
 recursion work beyond ``MAX_RECURSION_CELLS`` cells, or entries that
-could reach 2**62.  The rational is extracted once per row, exactly.
+could reach 2**62.  The rationals of all the rows are read exactly in one
+block (:func:`~hypergf.cyclo.rational_values`).
 
 The workhorse is the (phi, phi; eps) specialization
 :func:`two_f_one`, evaluated by Greene's sum form
@@ -64,7 +65,9 @@ from .chars import (Character, char_sign_at_minus_one, jacobi_terms, phi_at_minu
 from .chars import jacobi_vector
 # convolve_cyclic is unused here; perfbench/spans.py traces it at this binding
 from .cyclo import convolve_cyclic
+# rational_from_vector is unused here; perfbench/spans.py traces it at this binding
 from .cyclo import rational_from_vector
+from .cyclo import rational_values
 from .ff import FieldContext, FieldError, NumpyTables, is_prime, numpy_tables, row_blocks
 # make_field is unused here; perfbench/spans.py traces it at this binding
 from .ff import make_field
@@ -133,11 +136,21 @@ def hyp_values(top: tuple[Character, ...], bottom: tuple[Character, ...],
                xs) -> list[Fraction]:
     """:func:`hyp_eval` at every argument code of ``xs``, from one pass of
     the recursion."""
+    nums = hyp_numerators(top, bottom, xs)
+    scale = top[0].ctx.q ** (len(top) - 1)
+    return [Fraction(num, scale) for num in nums.tolist()]
+
+
+def hyp_numerators(top: tuple[Character, ...], bottom: tuple[Character, ...],
+                   xs) -> np.ndarray:
+    """q**(k-1) times :func:`hyp_eval` at every argument code of ``xs``, for
+    k = len(top), as an int64 column: one pass of the recursion and one
+    block extraction (:func:`~hypergf.cyclo.rational_values`)."""
     ctx = _check_characters(top, bottom)
-    n, scale = ctx.q - 1, ctx.q ** (len(top) - 1)
     rows = _series_rows(ctx, [chi.j for chi in top], [chi.j for chi in bottom],
                         np.asarray([ctx.check_code(x) for x in xs], dtype=np.int64))
-    return [rational_from_vector(row, n) / scale for row in rows.tolist()]
+    # a value is at most the row's q**(k-1) terms, below 2**62 by check_order
+    return rational_values(rows, ctx.q - 1).astype(np.int64)
 
 
 def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],

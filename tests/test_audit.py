@@ -353,18 +353,44 @@ def test_emit_fills_one_buffer():
         assert peak < 1.5 * SWEEP49_PINS[fmt][0], (fmt, peak)
 
 
+def _wide_report():
+    """A hand-built G-316 report whose numerators lie near +-2**40, lhs over
+    q and rhs over q - 1: any run of it has len(run) * span_l * span_r >=
+    2**62, so its key falls back to dense ranks."""
+    rng = np.random.default_rng(40)
+    blocks = []
+    for q in (13, 17, 19):
+        lam = np.arange(2, q).reshape(-1, 1)
+        near = [rng.integers(-2, 3, len(lam)) + rng.choice([-1, 1], len(lam)) * (1 << 40)
+                for _ in range(2)]
+        lhs, rhs = Column(near[0] * q, q), Column(near[1] * (q - 1), q - 1)
+        rhs.num[::3] = near[0][::3] * (q - 1)          # some rows pass
+        blocks.append(audit.FieldColumns("G-316", q, ("lambda",), lam, lhs, rhs,
+                                         _residual(lhs, rhs)))
+    return audit.IdentityReport("G-316", "greene", tuple(blocks))
+
+
 @pytest.mark.parametrize("run_rows", [1, 7, audit._RUN_ROWS])
 def test_emit_matches_the_per_block_referee(monkeypatch, run_rows):
     # runs of one block each, runs split inside a report, and the default
     no_columns = _no_columns()
+    wide = [_wide_report()]
     cases = [sweep(13), [no_columns, *sweep(9)],
              [audit_identity("G-316", [27, 125])],       # an lcm denominator
-             [audit_identity("O-minus1", [3, 5, 7, 9, 11, 13])]]   # no parameters
+             [audit_identity("O-minus1", [3, 5, 7, 9, 11, 13])],   # no parameters
+             wide]
     monkeypatch.setattr(audit, "_RUN_ROWS", run_rows)
+    ranked = []
+    monkeypatch.setattr(audit, "_ranks", lambda nums, ranks=audit._ranks:
+                        ranked.append(len(nums)) or ranks(nums))
     for reports in cases:
+        ranked.clear()
         for fmt in ("json", "csv"):
             chunks = list(emit_chunks(reports, fmt))
             assert chunks == emit_referee.emit_chunks(reports, fmt), (run_rows, fmt)
+        # the offsets key everywhere but the wide report, the ranks there
+        assert bool(ranked) == (reports is wide), run_rows
+    assert 0 < wide[0].failures < len(wide[0].records)
 
 
 def test_capped_prime_powers_lists_to_the_cap_then_refuses():

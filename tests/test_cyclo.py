@@ -6,7 +6,9 @@ import pytest
 
 import _convolve_referee as referee
 from hypergf import GroupRingElement, NonRationalValueError, cyclotomic_polynomial
-from hypergf.cyclo import convolve_cyclic, rational_from_vector, reduce_mod_cyclotomic
+from hypergf import ff
+from hypergf.cyclo import (convolve_cyclic, rational_from_vector, rational_values,
+                          reduce_mod_cyclotomic)
 
 
 def Z(n, m):
@@ -153,6 +155,73 @@ def test_to_rational():
         rational_from_vector(Z(4, 1), 4)
     for r in (3, -11, 0):
         assert rational_from_vector([r] + [0] * 11, 12) == r
+
+
+def _rational_row(rng, n, bound):
+    """A random integer at zeta^0 plus random multiples of the shifts
+    x**j Phi_n mod x**n - 1, all of value 0."""
+    phi = cyclotomic_polynomial(n)
+    row = [0] * n
+    row[0] = rng.randint(-bound, bound)
+    for j in rng.sample(range(n), min(n, 5)):
+        a = rng.randint(-bound, bound) // (4 * len(phi))
+        for i, c in enumerate(phi):
+            row[(i + j) % n] += a * c
+    return row
+
+
+def _referee(row, n):
+    """The value by the long division, or None if it is not rational."""
+    can = reduce_mod_cyclotomic(row, n)
+    return None if any(can[1:]) else can[0]
+
+
+# 9 and 8 are prime powers; 12, 30, 210 and 2310 have 2 to 5 primes
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12, 30, 210, 2310])
+def test_rational_values_match_the_long_division(n, monkeypatch):
+    rng = random.Random(n)
+    omega = len(ff.prime_factors(n))
+    # entries near 2**62 take Python ints once 2**omega(n) times them leaves int64
+    for bound in (9, 1 << 40, (1 << 62) - 1):
+        rows = [_rational_row(rng, n, bound) for _ in range(3)]
+        block = np.array(rows, dtype=np.int64)
+        want = [_referee(row, n) for row in rows]
+        wide = int(np.abs(block).max()) << omega >= 1 << 63
+        assert wide or bound < 1 << 62 or omega < 2
+        for cells in (ff.BLOCK_CELLS, n, 2 * n):            # one block, or several
+            monkeypatch.setattr(ff, "BLOCK_CELLS", cells)
+            got = rational_values(block, n)
+            assert got.tolist() == want and (got.dtype == object) == wide, (n, bound)
+        assert [rational_from_vector(row, n) for row in rows] == want
+    for rows in ([], [_rational_row(rng, n, 9)]):           # 0 rows and 1 row
+        got = rational_values(np.array(rows, dtype=np.int64).reshape(len(rows), n), n)
+        assert got.tolist() == [_referee(row, n) for row in rows]
+    # random rows: rational iff the long division leaves a constant
+    for _ in range(20):
+        row = [rng.randint(-3, 3) for _ in range(n)]
+        want = _referee(row, n)
+        if want is None:
+            with pytest.raises(NonRationalValueError):
+                rational_values([row], n)
+            with pytest.raises(NonRationalValueError):    # anywhere in a block
+                rational_values([_rational_row(rng, n, 9), row], n)
+        else:
+            assert rational_values([row], n).tolist() == [want]
+    if n > 2:       # only Q(zeta_1) = Q(zeta_2) = Q has no irrational row
+        with pytest.raises(NonRationalValueError):
+            rational_values([Z(n, 1)], n)
+
+
+def test_rational_values_take_integer_blocks_only():
+    assert rational_values([[1 << 70, 0, 0, 0]], 4).tolist() == [1 << 70]
+    with pytest.raises(TypeError):
+        rational_values([[Fraction(1, 2), 0, 0, 0]], 4)
+    with pytest.raises(TypeError):
+        rational_values(np.zeros((1, 4)), 4)
+    with pytest.raises(ValueError, match="block"):
+        rational_values([1, 0, 0, 0], 4)
+    with pytest.raises(ValueError, match="block"):
+        rational_values([[1, 0, 0]], 4)
 
 
 def test_convolve_cyclic_matches_the_schoolbook_product():

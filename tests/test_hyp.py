@@ -29,8 +29,8 @@ from hypergf import (
     trivial_character,
     two_f_one,
 )
-from hypergf.audit import cached_field
-from hypergf.cyclo import NonRationalValueError, reduce_mod_cyclotomic
+from hypergf.audit import cached_field, identity_by_key
+from hypergf.cyclo import NonRationalValueError, rational_from_vector, reduce_mod_cyclotomic
 from hypergf.ff import FieldError, is_prime, odd_prime_powers
 
 
@@ -290,6 +290,19 @@ def test_series_rows_do_not_depend_on_the_block(p, r, monkeypatch):
             assert (hyp._series_rows(ctx, tops, bots, xs) == rows).all(), (budget, tops, bots)
 
 
+def _per_row_numerators(ctx, top, bottom, xs):
+    """q**(k-1) times the series at each x, read off each row on its own
+    by the long division and by rational_from_vector."""
+    n = ctx.q - 1
+    rows = hyp._series_rows(ctx, [c.j for c in top], [c.j for c in bottom], np.asarray(xs))
+    out = []
+    for row in rows.tolist():
+        can = reduce_mod_cyclotomic(row, n)
+        assert not any(can[1:]) and rational_from_vector(row, n) == can[0]
+        out.append(can[0])
+    return out
+
+
 def test_hyp_values_is_hyp_eval_per_argument(field):
     ctx = field(3, 3)
     top = (Character(ctx, 13), Character(ctx, 0), Character(ctx, 13))
@@ -298,6 +311,25 @@ def test_hyp_values_is_hyp_eval_per_argument(field):
     values = hyp.hyp_values(top, bottom, xs)
     assert values == [hyp_eval(HypSpec(top=top, bottom=bottom, x=x)) for x in xs]
     assert values[0] == 0
+    # the block extraction against each row's own, at every order of the spec
+    for k in (1, 2, 3):
+        nums = _per_row_numerators(ctx, top[:k], bottom[:k - 1], xs)
+        assert hyp.hyp_values(top[:k], bottom[:k - 1], xs) == \
+            [Fraction(v, ctx.q ** (k - 1)) for v in nums]
+        got = hyp.hyp_numerators(top[:k], bottom[:k - 1], xs)
+        assert got.dtype == np.int64 and got.tolist() == nums
+
+
+@pytest.mark.parametrize("p,r", [(853, 1), (727, 1), (5, 4)])
+def test_g316_lhs_is_the_per_row_extraction(p, r, field):
+    # the audit's lhs column, over q, on the whole domain
+    ctx = field(p, r)
+    g316 = identity_by_key("G-316")
+    lam = g316.points(ctx)
+    lhs, _ = g316.evaluate(ctx, lam)
+    phi, eps = quadratic_character(ctx), trivial_character(ctx)
+    assert lhs.den == ctx.q and lhs.num.dtype == np.int64
+    assert lhs.num.tolist() == _per_row_numerators(ctx, (phi, eps), (phi,), lam[:, 0])
 
 
 def _phi_series(ctx, order, xs):
