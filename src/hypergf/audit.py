@@ -8,14 +8,14 @@ provenance:
   under audit.  Several of these disagree with brute-force counts, so
   FAIL is an expected, first-class outcome; the value of the audit is
   the exact residual trail.
-* ``corrected`` -- replacement forms derived from the enumeration
+* ``corrected`` -- replacement forms derived from the point-count
   oracles (never presented as ground truth of the audited source).
 * ``greene`` / ``ono`` -- classical transformation and special-value
   results the audited source quotes; expected to PASS.
 
 Both sides of every identity evaluate to exact rationals; a point
 passes iff the residual lhs - rhs is exactly zero.  The designated
-primary (lhs) side is the enumeration oracle where one is involved,
+primary (lhs) side is the point-count oracle where one is involved,
 otherwise the directly-evaluated series side; each description says
 which.  Reports are deterministic: records are sorted by (q, params)
 and repeated sweeps emit byte-identical output.

@@ -1,33 +1,32 @@
-"""Brute-force rational point counts for four plane curve models.
+"""Rational point counts for four plane curve models, with no characters.
 
-Counting is exhaustive: one enumerator tests a model's defining equation
-at every affine pair (x, y), in blocks of x rows within ``ff.BLOCK_CELLS``
-cells, with no discriminant logic, so these counts serve as ground truth
-for everything else in the package.  Points at infinity are fixed
-constants read off the homogenized equations: three for the Huff models,
-one for Weierstrass; the Edwards count is reported affine-only and any
-completion convention is left to the caller.
+Each count walks one axis and reads ``nsqrt``, the bincount of the squares,
+so no character or discriminant enters and the counts serve as ground truth
+for the series.  A (general) Huff point with x y != 0 lies on exactly one
+line y = s x, s != 0, where the equation reads x**2 s(a s - b) = num(s); the
+origin is its only other affine point.  Weierstrass takes y**2 = f(x) and
+Edwards y**2 = (1 - x**2)/(1 - d2 x**2) at each x.  Points at infinity are
+fixed constants read off the homogenized equations: three for the Huff
+models, one for Weierstrass; the Edwards count is reported affine-only and
+any completion convention is left to the caller.
 
 The audit needs whole families of curves over one field, so each count
 also has a family form (``general_huff_family``, ``huff_family``,
 ``weierstrass_family``, ``general_huff_quartic_family``,
 ``edwards_affine_family``): a memoized, read-only int64 table of the
-totals at every parameter, -1 where the parameters are invalid.  They
-count what the per-parameter functions count, with no characters beyond
-the quartic route's own and no discriminant shortcut.  Every family is
-one histogram plus one read.  Each exhaustive equation is linear in its
-parameters, so an affine pair lies on every curve of the family, on none,
-or fixes a parameter, and the pairs are bincounted by what they fix:
-Huff and Edwards one parameter, O(q**2); general Huff and Weierstrass a
-line s u - v = m in two (for general Huff, b = a (y/x) - (x-y)/(x^2 y)),
-read from the counts of all q**2 lines, an O(q**3) gather over blocks of
-s within ``ff.BLOCK_CELLS``.  The quartic route bincounts c per b and
-reads it through one int64 product with the q x q table phi(c + 4a).  No
-family build holds more than a few q x q tables.
+totals at every parameter, -1 where the parameters are invalid.  A Huff
+count depends only on b/a, so Huff and Edwards are the per-curve sums at
+every b/a or d2, in ``ff.row_blocks`` blocks.  General Huff and
+Weierstrass are linear in (a, b): a point fixes a line s u - v = m in two
+parameters (for general Huff, b = a (y/x) - (x-y)/(x^2 y)), read from the
+counts of all q**2 lines, an O(q**3) gather over blocks of s within
+``ff.BLOCK_CELLS``.  The quartic route bincounts c per b and reads it
+through one int64 product with the q x q table phi(c + 4a).
 
 Also here: the rational maps between the general Huff model and the
-Weierstrass model v**2 = u(u+a)(u+b), applied to every enumerated point
-with their exceptional loci counted rather than skipped.
+Weierstrass model v**2 = u(u+a)(u+b), applied to every point, listed along
+the same lines or as (u, +-sqrt(f(u))), with their exceptional loci
+counted rather than skipped.
 """
 
 from __future__ import annotations
@@ -135,12 +134,6 @@ def _on_general_huff(ctx: FieldContext, a: int, b: int):
     return lambda x, y: t.vmul(x, a_sq_m1[y]) == t.vmul(b_sq_m1[x], y)
 
 
-def _on_huff(ctx: FieldContext, a: int, b: int):
-    t = numpy_tables(ctx)
-    sq_m1 = t.vsub(t.sq, ctx.one)
-    return lambda x, y: t.vmul(t.vmul(a, x), sq_m1[y]) == t.vmul(sq_m1[x], t.vmul(b, y))
-
-
 def _weierstrass_fx(t: NumpyTables, a: int, b: int, x: np.ndarray) -> np.ndarray:
     return t.vmul(x, t.vmul(t.vadd(x, a), t.vadd(x, b)))
 
@@ -150,49 +143,57 @@ def _on_weierstrass(ctx: FieldContext, a: int, b: int):
     return lambda x, y: t.sq[y] == _weierstrass_fx(t, a, b, x)
 
 
-def _on_edwards(ctx: FieldContext, d2: int):
-    t = numpy_tables(ctx)
-    return lambda x, y: (t.vadd(t.sq[x], t.sq[y])
-                         == t.vadd(ctx.one, t.vmul(d2, t.vmul(t.sq[x], t.sq[y]))))
+def _line_x2(t: NumpyTables, a, b, num, s):
+    """x**2 at the points of x**2 s(a s - b) = num on the line y = s x, for
+    slopes s != 0 (broadcast arrays); 0 where s(a s - b) = 0 (``inv_[0]`` is
+    0), a line that the curve's own condition leaves with only the origin."""
+    return t.vmul(num, t.inv_[t.vmul(s, t.vsub(t.vmul(a, s), b))])
 
 
-def _affine_points(ctx: FieldContext, on_curve) -> np.ndarray:
-    """Pair codes x*q + y, ascending, of the affine solutions of
-    ``on_curve``, tested on blocks of x rows against every y."""
-    q, codes = ctx.q, np.arange(ctx.q)
-    return np.concatenate([xs.start * q + on_curve(codes[xs, None], codes).ravel().nonzero()[0]
-                           for xs in row_blocks(q, q)])
+def _off_axis(t: NumpyTables, x2) -> np.ndarray:
+    """#{x != 0 : x**2 = x2}, summed over the last axis."""
+    return (t.nsqrt[x2] - (x2 == 0)).sum(axis=-1)
 
 
 def count_general_huff(ctx: FieldContext, params: GeneralHuffParams) -> CurveCount:
-    """Affine count by exhaustive enumeration; three points at infinity."""
+    """Affine count line by line through the origin; three points at infinity."""
     params.validate(ctx)
-    affine = len(_affine_points(ctx, _on_general_huff(ctx, params.a, params.b)))
+    t, a, b, s = numpy_tables(ctx), params.a, params.b, np.arange(1, ctx.q)
+    # x(a y^2 - 1) = y(b x^2 - 1) at y = s x: x^2 s(a s - b) = 1 - s
+    affine = 1 + int(_off_axis(t, _line_x2(t, a, b, t.one_minus[s], s)))
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
 
 
 def count_huff(ctx: FieldContext, params: HuffParams) -> CurveCount:
-    """Affine count by exhaustive enumeration; three points at infinity."""
+    """Affine count line by line through the origin; three points at infinity."""
     params.validate(ctx)
-    affine = len(_affine_points(ctx, _on_huff(ctx, params.a, params.b)))
+    t, a, b, s = numpy_tables(ctx), params.a, params.b, np.arange(1, ctx.q)
+    # a x(y^2 - 1) = b y(x^2 - 1) at y = s x: x^2 s(a s - b) = a - b s
+    affine = 1 + int(_off_axis(t, _line_x2(t, a, b, t.vsub(a, t.vmul(b, s)), s)))
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
 
 
 def count_weierstrass(ctx: FieldContext, params: WeierstrassParams) -> CurveCount:
-    """Affine solutions of y**2 = x(x+a)(x+b) counted by matching squares
-    (the y**2 multiplicity table is built by enumerating every y once);
-    one point at infinity."""
+    """Affine count x by x, the square roots of x(x+a)(x+b) read from
+    ``nsqrt``; one point at infinity."""
     params.validate(ctx)
     t = numpy_tables(ctx)
     affine = int(t.nsqrt[_weierstrass_fx(t, params.a, params.b, np.arange(ctx.q))].sum())
     return CurveCount(affine=affine, at_infinity=1, total=affine + 1)
 
 
+def _edwards_affine(t: NumpyTables, d2) -> np.ndarray:
+    """Affine count at each d2 (broadcast against x on the last axis):
+    y**2 = (1 - x**2)/(1 - d2 x**2), and no y where d2 x**2 = 1."""
+    den = t.one_minus[t.vmul(d2, t.sq)]
+    return (t.nsqrt[t.vmul(t.one_minus[t.sq], t.inv_[den])] * (den != 0)).sum(axis=-1)
+
+
 def count_edwards_affine(ctx: FieldContext, params: EdwardsParams) -> int:
-    """Exhaustive affine solution count of the Edwards equation.  No
-    points at infinity are added; completion conventions live upstream."""
+    """Affine solution count of the Edwards equation, x by x.  No points
+    at infinity are added; completion conventions live upstream."""
     params.validate(ctx)
-    return len(_affine_points(ctx, _on_edwards(ctx, params.d2)))
+    return int(_edwards_affine(numpy_tables(ctx), params.d2))
 
 
 def count_general_huff_quartic(ctx: FieldContext,
@@ -201,20 +202,14 @@ def count_general_huff_quartic(ctx: FieldContext,
     of phi(b^2 x^4 + (4a - 2b) x^2 + 1).
 
     This is the alternative counting path; it must agree with the
-    exhaustive count (and does, which pins the constant at q+3, not q+4).
+    line count (and does, which pins the constant at q+3, not q+4).
     """
     params.validate(ctx)
-    t = numpy_tables(ctx)
-    q = ctx.q
-    a, b = params.a, params.b
-    b2 = ctx.mul(b, b)
+    t, q, a, b = numpy_tables(ctx), ctx.q, params.a, params.b
     mid = ctx.sub(ctx.mul(ctx.element(4), a), ctx.add(b, b))  # 4a - 2b
-    codes = np.arange(1, q)                               # nonzero x codes
-    x2 = t.sq[codes]
-    x4 = t.vmul(x2, x2)
-    val = t.vadd(t.vadd(t.vmul(b2, x4), t.vmul(mid, x2)), ctx.one)
-    s = int(t.phi[val].sum())
-    affine = q + s                                        # 1 + (q-1) + sum
+    x2 = t.sq[1:]                                         # nonzero x
+    val = t.vadd(t.vadd(t.vmul(ctx.mul(b, b), t.vmul(x2, x2)), t.vmul(mid, x2)), ctx.one)
+    affine = q + int(t.phi[val].sum())                    # 1 + (q-1) + sum
     return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
 
 
@@ -256,36 +251,25 @@ def general_huff_family(ctx: FieldContext) -> np.ndarray:
 def huff_family(ctx: FieldContext) -> np.ndarray:
     """``count_huff(ctx, HuffParams(a, b)).total`` at ``[a, b]`` for every
     (a, b), -1 where the parameters are invalid."""
-    # a A = b B with A = x(y^2-1), B = y(x^2-1): pairs with A = B = 0 lie
-    # on every curve, pairs with A B != 0 on the curves with b/a = A/B
-    t = numpy_tables(ctx)
-    q = ctx.q
-    codes = np.arange(q)
-    sq_m1 = t.vsub(t.sq, ctx.one)
-    big_a = t.vmul(codes[:, None], sq_m1[None, :])
-    big_b = t.vmul(sq_m1[:, None], codes[None, :])
-    every = int(((big_a == 0) & (big_b == 0)).sum())
-    solved = (big_a != 0) & (big_b != 0)
-    hist = np.bincount(t.vmul(big_a[solved], t.vinv(big_b[solved])), minlength=q)
-    inv_a = np.zeros(q, dtype=np.int64)   # row a = 0 is excluded below
-    inv_a[1:] = t.vinv(codes[1:])
-    table = 3 + every + hist[t.vmul(codes[None, :], inv_a[:, None])]
-    return np.where(valid_pairs(ctx, squares=True), table, -1)
+    # over a, count_huff's lines read x^2 s(s - r) = 1 - r s with r = b/a
+    t, q, codes = numpy_tables(ctx), ctx.q, np.arange(ctx.q)
+    s = np.arange(1, q)
+    per_r = np.concatenate([4 + _off_axis(t, _line_x2(t, ctx.one, r, t.one_minus[t.vmul(r, s)], s))
+                            for r in (codes[rows, None] for rows in row_blocks(q, q - 1))])
+    # a^2 = b^2 at r = +-1, and inv_[0] = 0 sends a = 0 or b = 0 to r = 0
+    per_r[[ctx.zero, ctx.one, t.neg_[ctx.one]]] = -1
+    table = np.empty((q, q), dtype=np.int64)
+    for rows in row_blocks(q, q):
+        table[rows] = per_r[t.vmul(codes, t.inv_[codes[rows, None]])]
+    return table
 
 
 @per_field
 def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
     """``count_edwards_affine(ctx, EdwardsParams(d2))`` at ``[d2]`` for
     every d2, -1 at d2 in {0, 1}."""
-    # x^2 + y^2 - 1 = d2 x^2 y^2: pairs with x y = 0 and x^2 + y^2 = 1 lie
-    # on every curve, the others fix d2
-    t = numpy_tables(ctx)
-    lhs = t.vsub(t.vadd(t.sq[:, None], t.sq[None, :]), ctx.one)
-    prod = t.vmul(t.sq[:, None], t.sq[None, :])
-    axis = prod == 0
-    every = int((axis & (lhs == 0)).sum())
-    d2 = t.vmul(lhs[~axis], t.vinv(prod[~axis]))
-    table = every + np.bincount(d2, minlength=ctx.q)
+    t, q, codes = numpy_tables(ctx), ctx.q, np.arange(ctx.q)
+    table = np.concatenate([_edwards_affine(t, codes[rows, None]) for rows in row_blocks(q, q)])
     table[[ctx.zero, ctx.one]] = -1
     return table
 
@@ -365,28 +349,50 @@ def map_points(ctx: FieldContext, source_model: str, target_model: str,
     raise ParameterError(f"unsupported model pair {source_model} -> {target_model}")
 
 
+def _square_roots(t: NumpyTables, root: np.ndarray, c: np.ndarray):
+    """(i, w) over every w with w**2 = c[i]: w = 0 where c[i] = 0, and both
+    signs where c[i] is a nonzero square (``root`` holds one of them)."""
+    i = np.flatnonzero(t.nsqrt[c])
+    w = root[c[i]]
+    twice = w != 0
+    return np.r_[i, i[twice]], np.r_[w, t.neg_[w[twice]]]
+
+
+def _model_points(t: NumpyTables, a: int, b: int):
+    """(x, y) code arrays of the affine points of the general Huff and the
+    Weierstrass curve (a, b): the origin and x = +-sqrt(x^2) on each line
+    y = s x, and (u, +-sqrt(f(u))) at each u, from one root table."""
+    root = np.zeros(t.q, dtype=np.int64)
+    root[t.sq] = np.arange(t.q)
+    s = np.arange(1, t.q)
+    x2 = _line_x2(t, a, b, t.one_minus[s], s)
+    i, x = _square_roots(t, root, x2[x2 != 0])
+    return ((np.r_[0, x], np.r_[0, t.vmul(s[x2 != 0][i], x)]),
+            _square_roots(t, root, _weierstrass_fx(t, a, b, np.arange(t.q))))
+
+
 def _map_ghuff_weier(ctx: FieldContext, params: GeneralHuffParams,
                      source: str, target: str) -> MapReport:
     GeneralHuffParams(params.a, params.b).validate(ctx)
     t = numpy_tables(ctx)
     a, b = params.a, params.b
+    ghuff, weier = _model_points(t, a, b)
 
     def over(num1, num2, den):                     # (num1/den, num2/den)
         inv = t.vinv(den)
         return t.vmul(num1, inv), t.vmul(num2, inv)
 
-    # each model: its equation, points at infinity, where its map to the
-    # other model is defined, and that map
+    # each model: its affine points, its equation, points at infinity, where
+    # its map to the other model is defined, and that map
     models = {
-        "ghuff": (_on_general_huff(ctx, a, b), 3, lambda x, y: x != y,
+        "ghuff": (ghuff, _on_general_huff(ctx, a, b), 3, lambda x, y: x != y,
                   lambda x, y: over(t.vsub(t.vmul(b, x), t.vmul(a, y)), ctx.sub(b, a),
                                     t.vsub(y, x))),
-        "weier": (_on_weierstrass(ctx, a, b), 1, lambda u, v: v != 0,
+        "weier": (weier, _on_weierstrass(ctx, a, b), 1, lambda u, v: v != 0,
                   lambda u, v: over(t.vadd(u, a), t.vadd(u, b), v)),
     }
-    on_src, src_inf, src_defined, apply = models[source]
-    on_tgt, tgt_inf, tgt_defined, _ = models[target]
-    src, tgt = (np.divmod(_affine_points(ctx, on), ctx.q) for on in (on_src, on_tgt))
+    src, _, src_inf, src_defined, apply = models[source]
+    tgt, on_tgt, tgt_inf, tgt_defined, _ = models[target]
     keep = src_defined(*src)
     image = apply(src[0][keep], src[1][keep])
     mapped = len(image[0])

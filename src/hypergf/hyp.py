@@ -129,16 +129,8 @@ def hyp_eval(spec: HypSpec) -> Fraction:
     :class:`~hypergf.cyclo.NonRationalValueError` if the value is not
     rational.
     """
-    return hyp_values(spec.top, spec.bottom, [spec.x])[0]
-
-
-def hyp_values(top: tuple[Character, ...], bottom: tuple[Character, ...],
-               xs) -> list[Fraction]:
-    """:func:`hyp_eval` at every argument code of ``xs``, from one pass of
-    the recursion."""
-    nums = hyp_numerators(top, bottom, xs)
-    scale = top[0].ctx.q ** (len(top) - 1)
-    return [Fraction(num, scale) for num in nums.tolist()]
+    num = hyp_numerators(spec.top, spec.bottom, [spec.x])[0]
+    return Fraction(int(num), spec.ctx.q ** (len(spec.top) - 1))
 
 
 def hyp_numerators(top: tuple[Character, ...], bottom: tuple[Character, ...],

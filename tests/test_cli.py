@@ -54,6 +54,16 @@ def test_count_models(capsys):
     assert json.loads(out)["total"] == 8
 
 
+def test_count_models_at_the_cap(capsys):
+    # each count walks one axis of F_65521; the general Huff, Huff and
+    # Edwards totals are those of the q^2 enumeration that they replaced
+    for model, a, b, total in [("ghuff", 2, 5, 65136), ("huff", 2, 5, 65664),
+                               ("edwards", 5, None, 65340), ("weier", 2, 5, 65136)]:
+        args = ["count", "--model", model, "--p", "65521", "--a", str(a)]
+        code, out, _ = _run(capsys, *args, *(["--b", str(b)] if b else []))
+        assert code == 0 and json.loads(out)["total"] == total, model
+
+
 def test_count_extension_with_coefficient_tuples(capsys):
     code, out, _ = _run(capsys, "count", "--model", "weier", "--p", "3",
                         "--r", "2", "--a", "1,1", "--b", "2,0")

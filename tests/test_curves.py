@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _enumeration_referee as enumeration
 import _family_referee as family_referee
 import _quartic_referee as quartic_referee
 from hypergf import (
@@ -27,6 +28,7 @@ from hypergf import (
 from hypergf.audit import cached_field, identity_by_key
 from hypergf.curves import (
     _line_counts,
+    _model_points,
     edwards_affine_family,
     general_huff_family,
     general_huff_quartic_family,
@@ -34,7 +36,7 @@ from hypergf.curves import (
     valid_pairs,
     weierstrass_family,
 )
-from hypergf.ff import make_field, odd_prime_powers
+from hypergf.ff import make_field, numpy_tables, odd_prime_powers
 
 # (family table, its per-parameter counter, the counter's parameters)
 AB_FAMILIES = [
@@ -313,14 +315,16 @@ def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
     for budget in (3 * q, 1):
         monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         ctx = make_field(p, r)                     # fresh: tables are per field
-        for family, count, params in (AB_FAMILIES[0], *AB_FAMILIES[2:]):
+        for family, count, params in AB_FAMILIES:
             want = [[_reference(count, params, ctx, a, b) for b in range(q)]
                     for a in range(q)]
             assert family(ctx).tolist() == want, (family.__name__, budget)
+        want = [_reference(count_edwards_affine, EdwardsParams, ctx, d2) for d2 in range(q)]
+        assert edwards_affine_family(ctx).tolist() == want, budget
 
 
 def _per_curve_survey(ctx, pairs):
-    """Every exhaustive count and both general Huff <-> Weierstrass map
+    """Every per-curve count and both general Huff <-> Weierstrass map
     directions at ``pairs``, with each refusal as its message."""
     def outcome(call, *args):
         try:
@@ -338,9 +342,8 @@ def _per_curve_survey(ctx, pairs):
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (31, 1)])
 def test_per_curve_counts_and_maps_do_not_depend_on_the_block(p, r, monkeypatch):
-    # the default budget takes F_q in one block of x rows, a budget of q
-    # or 1 takes one row per block, and 3q three (the last one shorter
-    # unless 3 divides q)
+    # the counts and maps walk one axis and read no block budget, so every
+    # budget gives the same outcomes
     q = p ** r
     rng = random.Random(q)
     pairs = [(0, 1), (1, 1), (1, 2)] + [(rng.randrange(q), rng.randrange(q))
@@ -353,8 +356,8 @@ def test_per_curve_counts_and_maps_do_not_depend_on_the_block(p, r, monkeypatch)
 
 
 def test_per_curve_kernels_stay_within_the_block_budget(field):
-    # a whole q x q grid of int64 at F_4093 is 128 MiB; the enumerator
-    # holds a few BLOCK_CELLS-sized arrays at once
+    # a whole q x q grid of int64 at F_4093 is 128 MiB; a count or a map
+    # holds a few arrays of q elements
     ctx = field(4093)
     calls = {
         "count_general_huff": lambda: count_general_huff(ctx, GeneralHuffParams(1, 4)),
@@ -371,6 +374,62 @@ def test_per_curve_kernels_stay_within_the_block_budget(field):
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, (name, peak)
+
+
+def test_edwards_family_stays_within_the_block_budget():
+    # one q x q int64 grid at F_4093 is 128 MiB; the build holds a few
+    # blocks of BLOCK_CELLS cells
+    ctx = make_field(4093)                         # fresh: tables are per field
+    numpy_tables(ctx)
+    tracemalloc.start()
+    try:
+        edwards_affine_family(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3),
+                                 (7, 2)])
+def test_counts_families_and_points_are_the_enumeration(p, r, field):
+    # every valid parameter against the equation tested at all q^2 pairs
+    ctx = field(p, r)
+    q, t = ctx.q, numpy_tables(ctx)
+    edw, huff = edwards_affine_family(ctx), huff_family(ctx)
+    for d2 in range(1, q):
+        if d2 != ctx.one:
+            want = enumeration.edwards_affine(ctx, d2)
+            assert count_edwards_affine(ctx, EdwardsParams(d2)) == edw[d2] == want, d2
+    for a in range(1, q):
+        for b in range(1, q):
+            if t.sq[a] != t.sq[b]:
+                want = enumeration.huff_affine(ctx, a, b) + 3
+                assert count_huff(ctx, HuffParams(a, b)).total == huff[a, b] == want, (a, b)
+            if a == b:
+                continue
+            want = enumeration.general_huff_affine(ctx, a, b)
+            assert count_general_huff(ctx, GeneralHuffParams(a, b)).affine == want, (a, b)
+            listed = _model_points(t, a, b)
+            for (x, y), points in zip(listed, (enumeration.general_huff_points,
+                                               enumeration.weierstrass_points)):
+                assert np.sort(x * q + y).tolist() == points(ctx, a, b).tolist(), (a, b)
+
+
+@pytest.mark.parametrize("p,r", [(65521, 1), (3, 10)])
+def test_counts_agree_across_models_at_the_cap(p, r, field):
+    # general Huff (a, b) and Weierstrass (a, b) are isomorphic, and Huff
+    # (a, b) has the general Huff (a^2, b^2) count
+    ctx = field(p, r)
+    q = ctx.q
+    rng = random.Random(q)
+    pairs = [(2, 5)] + [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(6)]
+    for a, b in pairs:
+        assert (count_general_huff(ctx, GeneralHuffParams(a, b)).total
+                == count_weierstrass(ctx, WeierstrassParams(a, b)).total), (a, b)
+        a2, b2 = ctx.mul(a, a), ctx.mul(b, b)
+        assert (count_huff(ctx, HuffParams(a, b)).total
+                == count_general_huff(ctx, GeneralHuffParams(a2, b2)).total), (a, b)
 
 
 def test_family_tables_are_cached_and_read_only(field):
