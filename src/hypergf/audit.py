@@ -627,9 +627,11 @@ def capped_prime_powers(q_max: int,
 def _check_work(qs: list[int], identities: Iterable[Identity], where: str) -> None:
     """Raise :class:`FieldError` if auditing ``identities`` over the fields
     of ``qs`` (``where``, in the message) would exceed :data:`WORK_BUDGET`
-    cells.  A field's cells grow as q**3 where an (a, b) identity reads the
-    O(q^3) family tables, else as q**2, for the q series values of O(q)
-    each behind every lambda column."""
+    cells.  A field's cells grow as q**3 where an (a, b) identity is
+    audited, else as q**2, for the q series values of O(q) each behind
+    every lambda column.  The q**3 charge outlived the O(q^3) family builds
+    it was set for: a family now costs O(q^2), so it overstates them, and
+    the edges it sets stay until a work model per identity replaces it."""
     degree = 3 if any(len(ident.param_names) == 2 for ident in identities) else 2
     cells = sum(q ** degree for q in qs)
     if cells > WORK_BUDGET:

@@ -14,14 +14,13 @@ The audit needs whole families of curves over one field, so each count
 also has a family form (``general_huff_family``, ``huff_family``,
 ``weierstrass_family``, ``general_huff_quartic_family``,
 ``edwards_affine_family``): a memoized, read-only int64 table of the
-totals at every parameter, -1 where the parameters are invalid.  A Huff
-count depends only on b/a, so Huff and Edwards are the per-curve sums at
-every b/a or d2, in ``ff.row_blocks`` blocks.  General Huff and
-Weierstrass are linear in (a, b): a point fixes a line s u - v = m in two
-parameters (for general Huff, b = a (y/x) - (x-y)/(x^2 y)), read from the
-counts of all q**2 lines, an O(q**3) gather over blocks of s within
-``ff.BLOCK_CELLS``.  The quartic route bincounts c per b and reads it
-through one int64 product with the q x q table phi(c + 4a).
+totals at every parameter, -1 where the parameters are invalid.  Each
+model's totals come from one kernel, which its count and its family both
+call.  A change of scale maps the curve (a, b) onto (c^2 a, c^2 b), and a
+Huff curve depends on b/a alone, so an (a, b) family reads its kernel at
+one curve (a0, a0 b/a) per scaling class and gathers that row at every
+(a, b); the Edwards family is its kernel at every d2.  Both walk their
+parameters in ``ff.row_blocks`` blocks.
 
 Also here: the rational maps between the general Huff model and the
 Weierstrass model v**2 = u(u+a)(u+b), applied to every point, listed along
@@ -155,31 +154,57 @@ def _off_axis(t: NumpyTables, x2) -> np.ndarray:
     return (t.nsqrt[x2] - (x2 == 0)).sum(axis=-1)
 
 
+# each model's one totals kernel: a and b are codes, or arrays broadcast
+# against the axis the kernel walks, which it adds last and sums away
+
+def _general_huff_totals(t: NumpyTables, a, b):
+    """Total at each (a, b), line by line through the origin: x(a y^2 - 1) =
+    y(b x^2 - 1) at y = s x reads x^2 s(a s - b) = 1 - s."""
+    s = np.arange(1, t.q)
+    return 4 + _off_axis(t, _line_x2(t, a, b, t.one_minus[s], s))
+
+
+def _huff_totals(t: NumpyTables, a, b):
+    """Total at each (a, b), line by line through the origin: a x(y^2 - 1) =
+    b y(x^2 - 1) at y = s x reads x^2 s(a s - b) = a - b s."""
+    s = np.arange(1, t.q)
+    return 4 + _off_axis(t, _line_x2(t, a, b, t.vsub(a, t.vmul(b, s)), s))
+
+
+def _weierstrass_totals(t: NumpyTables, a, b):
+    """Total at each (a, b), x by x: the square roots of x(x+a)(x+b)."""
+    return 1 + t.nsqrt[_weierstrass_fx(t, a, b, np.arange(t.q))].sum(axis=-1)
+
+
+def _quartic_totals(t: NumpyTables, a, b):
+    """Total at each (a, b) by the quadratic-in-y route: 3 + 1 + (q-1) plus
+    phi(b^2 x^4 + (4a - 2b) x^2 + 1) summed over the nonzero x."""
+    two_a, x2 = t.vadd(a, a), t.sq[1:]
+    mid = t.vsub(t.vadd(two_a, two_a), t.vadd(b, b))
+    val = t.vadd(t.vadd(t.vmul(t.sq[b], t.vmul(x2, x2)), t.vmul(mid, x2)), t.one)
+    return t.q + 3 + t.phi[val].sum(axis=-1)
+
+
 def count_general_huff(ctx: FieldContext, params: GeneralHuffParams) -> CurveCount:
     """Affine count line by line through the origin; three points at infinity."""
     params.validate(ctx)
-    t, a, b, s = numpy_tables(ctx), params.a, params.b, np.arange(1, ctx.q)
-    # x(a y^2 - 1) = y(b x^2 - 1) at y = s x: x^2 s(a s - b) = 1 - s
-    affine = 1 + int(_off_axis(t, _line_x2(t, a, b, t.one_minus[s], s)))
-    return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
+    total = int(_general_huff_totals(numpy_tables(ctx), params.a, params.b))
+    return CurveCount(affine=total - 3, at_infinity=3, total=total)
 
 
 def count_huff(ctx: FieldContext, params: HuffParams) -> CurveCount:
     """Affine count line by line through the origin; three points at infinity."""
     params.validate(ctx)
-    t, a, b, s = numpy_tables(ctx), params.a, params.b, np.arange(1, ctx.q)
-    # a x(y^2 - 1) = b y(x^2 - 1) at y = s x: x^2 s(a s - b) = a - b s
-    affine = 1 + int(_off_axis(t, _line_x2(t, a, b, t.vsub(a, t.vmul(b, s)), s)))
-    return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
+    total = int(_huff_totals(numpy_tables(ctx), params.a, params.b))
+    return CurveCount(affine=total - 3, at_infinity=3, total=total)
 
 
 def count_weierstrass(ctx: FieldContext, params: WeierstrassParams) -> CurveCount:
     """Affine count x by x, the square roots of x(x+a)(x+b) read from
     ``nsqrt``; one point at infinity."""
     params.validate(ctx)
-    t = numpy_tables(ctx)
-    affine = int(t.nsqrt[_weierstrass_fx(t, params.a, params.b, np.arange(ctx.q))].sum())
-    return CurveCount(affine=affine, at_infinity=1, total=affine + 1)
+    total = int(_weierstrass_totals(numpy_tables(ctx), params.a, params.b))
+    return CurveCount(affine=total - 1, at_infinity=1, total=total)
 
 
 def _edwards_affine(t: NumpyTables, d2) -> np.ndarray:
@@ -205,63 +230,51 @@ def count_general_huff_quartic(ctx: FieldContext,
     line count (and does, which pins the constant at q+3, not q+4).
     """
     params.validate(ctx)
-    t, q, a, b = numpy_tables(ctx), ctx.q, params.a, params.b
-    mid = ctx.sub(ctx.mul(ctx.element(4), a), ctx.add(b, b))  # 4a - 2b
-    x2 = t.sq[1:]                                         # nonzero x
-    val = t.vadd(t.vadd(t.vmul(ctx.mul(b, b), t.vmul(x2, x2)), t.vmul(mid, x2)), ctx.one)
-    affine = q + int(t.phi[val].sum())                    # 1 + (q-1) + sum
-    return CurveCount(affine=affine, at_infinity=3, total=affine + 3)
+    total = int(_quartic_totals(numpy_tables(ctx), params.a, params.b))
+    return CurveCount(affine=total - 3, at_infinity=3, total=total)
 
 
 # ---------------------------------------------------------------------------
 # whole families, counted once per field
 # ---------------------------------------------------------------------------
 
-def _line_counts(ctx: FieldContext, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K[s, m] = #{i : s u[i] - v[i] = m}, by one histogram H[u, v] and a
-    gather with no field arithmetic per cell: with sub[c, m] = c - m, row s
-    is the sum over u of H[u, sub[s u]], added one u at a time."""
+def _family(ctx: FieldContext, totals, squares: bool = False) -> np.ndarray:
+    """``totals(t, a, b)`` at ``[a, b]`` for every (a, b), -1 where
+    ``valid_pairs(ctx, squares)`` is false.
+
+    (x, y) -> (x/c, y/c) maps the general Huff curve (a, b) onto (c^2 a,
+    c^2 b), (u, v) -> (c^2 u, c^3 v) does so for Weierstrass, and x -> c x
+    turns the quartic sum at (c^2 a, c^2 b) into the one at (a, b).  So the
+    total at (a, b) is the total at (a0, a0 r), r = b/a, with a0 = 1 where a
+    is a square and a0 = gen (never a square) elsewhere.  The Huff curve
+    (``squares``) depends on b/a alone: a0 = 1 serves every a."""
     t, q, codes = numpy_tables(ctx), ctx.q, np.arange(ctx.q)
-    hist = np.bincount(u * q + v, minlength=q * q).reshape(q, q)
-    sub = t.vsub(codes[:, None], codes)
-    counts = np.zeros((q, q), dtype=np.int64)
-    for s in row_blocks(q, q):
-        rows = counts[s]
-        for hist_u, su in zip(hist, t.vmul(codes[s, None], codes).T):
-            rows += hist_u[sub[su]]
-    return counts
+    a0 = np.array([ctx.one] if squares else [ctx.one, ctx.gen])[:, None]
+    per_r = np.concatenate([totals(t, a0[..., None], t.vmul(a0, codes[r])[..., None])
+                            for r in row_blocks(q, len(a0) * q)], axis=1)
+    # both rules hold at (a, b) iff at (1, b/a), and inv_[0] = 0 sends a = 0
+    # to r = 0, so the invalid pairs are the invalid r
+    per_r[:, ~_pair_rule(ctx, ctx.one, codes, squares)] = -1
+    row = (len(a0) - 1) * q * (t.nsqrt == 0)              # where a's a0 starts in per_r
+    table = np.empty((q, q), dtype=np.int64)
+    for rows in row_blocks(q, q):
+        a = codes[rows, None]
+        np.take(per_r, row[a] + t.vmul(codes, t.inv_[a]), out=table[rows])
+    return table
 
 
 @per_field
 def general_huff_family(ctx: FieldContext) -> np.ndarray:
     """``count_general_huff(ctx, GeneralHuffParams(a, b)).total`` at
     ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
-    # a x y^2 - b x^2 y = x - y: the origin lies on every curve, the other
-    # axis points on none, and x y != 0 fixes b = a (y/x) - (x-y)/(x^2 y)
-    t = numpy_tables(ctx)
-    nz = np.arange(1, ctx.q)
-    x, y = nz[:, None], nz[None, :]
-    inv_x2y = t.vinv(t.vmul(t.sq[x], y))
-    slope = t.vmul(t.vmul(x, t.sq[y]), inv_x2y).ravel()   # y/x
-    offset = t.vmul(t.vsub(x, y), inv_x2y).ravel()        # (x-y)/(x^2 y)
-    return np.where(valid_pairs(ctx), 1 + 3 + _line_counts(ctx, slope, offset), -1)
+    return _family(ctx, _general_huff_totals)
 
 
 @per_field
 def huff_family(ctx: FieldContext) -> np.ndarray:
     """``count_huff(ctx, HuffParams(a, b)).total`` at ``[a, b]`` for every
     (a, b), -1 where the parameters are invalid."""
-    # over a, count_huff's lines read x^2 s(s - r) = 1 - r s with r = b/a
-    t, q, codes = numpy_tables(ctx), ctx.q, np.arange(ctx.q)
-    s = np.arange(1, q)
-    per_r = np.concatenate([4 + _off_axis(t, _line_x2(t, ctx.one, r, t.one_minus[t.vmul(r, s)], s))
-                            for r in (codes[rows, None] for rows in row_blocks(q, q - 1))])
-    # a^2 = b^2 at r = +-1, and inv_[0] = 0 sends a = 0 or b = 0 to r = 0
-    per_r[[ctx.zero, ctx.one, t.neg_[ctx.one]]] = -1
-    table = np.empty((q, q), dtype=np.int64)
-    for rows in row_blocks(q, q):
-        table[rows] = per_r[t.vmul(codes, t.inv_[codes[rows, None]])]
-    return table
+    return _family(ctx, _huff_totals, squares=True)
 
 
 @per_field
@@ -278,35 +291,14 @@ def edwards_affine_family(ctx: FieldContext) -> np.ndarray:
 def weierstrass_family(ctx: FieldContext) -> np.ndarray:
     """``count_weierstrass(ctx, WeierstrassParams(a, b)).total`` at
     ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
-    # y^2 = x^3 + (a+b) x^2 + ab x: x = 0 gives the origin on every curve, and
-    # x != 0 fixes the line (a+b)(-x) - (-c) = ab with c = y^2/x - x^2
-    t = numpy_tables(ctx)
-    codes = np.arange(ctx.q)
-    x = codes[1:, None]
-    minus_c = t.vsub(t.sq[x], t.vmul(t.sq, t.inv_[x])).ravel()       # [x, y]
-    minus_x = np.repeat(t.neg_[1:], ctx.q)
-    at = t.vadd(codes[:, None], codes), t.vmul(codes[:, None], codes)  # a+b, ab
-    return np.where(valid_pairs(ctx), 1 + 1 + _line_counts(ctx, minus_x, minus_c)[at], -1)
+    return _family(ctx, _weierstrass_totals)
 
 
 @per_field
 def general_huff_quartic_family(ctx: FieldContext) -> np.ndarray:
     """``count_general_huff_quartic(ctx, GeneralHuffParams(a, b)).total``
     at ``[a, b]`` for every (a, b), -1 where the parameters are invalid."""
-    # for x != 0, b^2 x^4 + (4a - 2b) x^2 + 1 = x^2 (c + 4a) with
-    # c = (b x - 1/x)^2, and phi(x^2 w) = phi(w); so the sum over x at (a, b)
-    # is (hist @ phi)[b, a], with hist[b, v] the number of x with c = v and
-    # phi[v, a] = phi(v + 4a)
-    t = numpy_tables(ctx)
-    q = ctx.q
-    codes = np.arange(q)
-    x = codes[1:, None]
-    c = t.sq[t.vsub(t.vmul(x, codes), t.inv_[x])]                    # [x, b]
-    hist = np.bincount((codes * q + c).ravel(), minlength=q * q).reshape(q, q)
-    phi = t.phi[t.vadd(codes[:, None], t.vmul(ctx.element(4), codes))]
-    # each row of hist sums to q - 1 and |phi| <= 1, so the int64 product is
-    # exact: every entry is at most q - 1 < q^2 in absolute value
-    return np.where(valid_pairs(ctx), q + 3 + (hist @ phi).T, -1)
+    return _family(ctx, _quartic_totals)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ def weierstrass_points(ctx, a, b):
     return affine_points(ctx, _on_weierstrass(ctx, a, b))
 
 
-def general_huff_affine(ctx, a, b):
-    return len(general_huff_points(ctx, a, b))
-
-
 def huff_affine(ctx, a, b):
     return len(affine_points(ctx, _on_huff(ctx, a, b)))
 

@@ -1,8 +1,10 @@
-"""The general Huff and Weierstrass families by their earlier kernels,
-broadcast over blocks of consecutive a within ``ff.BLOCK_CELLS`` cells:
-general Huff bincounts the solved b per a, Weierstrass sums the square-root
-count of x(x+a)(x+b) over x.  ``curves`` replaced both with one line-count
-gather; this keeps the broadcasts as its referee.
+"""The general Huff, Huff and Weierstrass families by broadcasts over
+blocks of consecutive a within ``ff.BLOCK_CELLS`` cells, sharing no kernel
+with ``curves``: general Huff bincounts the solved b per a, Weierstrass
+sums the square-root count of x(x+a)(x+b) over x, and Huff reads the
+general Huff table at (a^2, b^2), the curve with the same count.
+``curves`` reads each family from its per-curve kernel at one curve per
+scaling class; these stay as its referees.
 """
 
 import numpy as np
@@ -52,3 +54,9 @@ def weierstrass_family(ctx):
         left = t.vmul(codes, t.vadd(codes, a[:, None]))       # x(x+a) at [a, x]
         return 1 + t.nsqrt[t.vmul(left[:, :, None], x_plus_b)].sum(axis=1)
     return np.where(valid_pairs(ctx), _rows_over_a(q, q * q, rows), -1)
+
+
+def huff_family(ctx):
+    """``count_huff`` total at ``[a, b]``, -1 where a b (a^2 - b^2) = 0."""
+    sq = numpy_tables(ctx).sq
+    return general_huff_family(ctx)[sq[:, None], sq]

@@ -1,8 +1,8 @@
 """The general Huff quartic family by its earlier kernel: phi of
 b^2 x^4 + (4a - 2b) x^2 + 1 at every (a, x, b), summed over the nonzero
-x for one a at a time.  ``curves.general_huff_quartic_family`` replaced it
-with one histogram and one matrix product; this keeps the direct sum as
-its referee.
+x for one a at a time.  ``curves.general_huff_quartic_family`` reads the
+quartic kernel at one curve per scaling class; this keeps the direct sum
+over every a as its referee.
 """
 
 import numpy as np

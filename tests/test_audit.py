@@ -423,7 +423,8 @@ def test_ab_domains_are_the_valid_pairs(p, r):
 
 
 def test_work_budget_edge():
-    # the whole registry reads (a, b) family tables: sum q^3 <= 2^25
+    # the whole registry has (a, b) identities, charged sum q^3 <= 2^25 (more
+    # than their O(q^2) family builds cost; the edges stay where they were)
     assert capped_prime_powers(156)[-1] == (151, 1)
     with pytest.raises(FieldError, match="budget"):
         capped_prime_powers(157)
@@ -463,6 +464,16 @@ def test_sweep81_emit_is_pinned():
     payload = emit(sweep(81), "json")
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
         39_147_625, "c85b36a1d375c736b50a13cc36aa40cc59a12844a35927947047f1486e80465c")
+
+
+def test_f317_family_emit_is_pinned():
+    # taken while the general Huff and Weierstrass tables came from an
+    # O(q^3) line-count gather and the quartic one from a matrix product;
+    # F_317 is the largest single field the work budget admits for these
+    payload = emit([audit_identity(k, [317])
+                    for k in ("T4.1", "T4.1-proof", "C1", "C3", "C-edw")], "csv")
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
+        20_838_534, "9a5238898be3835f17a245abfc0de59eff4de10870f61c86ca315366621646fe")
 
 
 def test_records_are_built_on_first_read():

@@ -27,7 +27,6 @@ from hypergf import (
 )
 from hypergf.audit import cached_field, identity_by_key
 from hypergf.curves import (
-    _line_counts,
     _model_points,
     edwards_affine_family,
     general_huff_family,
@@ -44,6 +43,13 @@ AB_FAMILIES = [
     (huff_family, count_huff, HuffParams),
     (weierstrass_family, count_weierstrass, WeierstrassParams),
     (general_huff_quartic_family, count_general_huff_quartic, GeneralHuffParams),
+]
+# each (a, b) family and a referee that shares no kernel with it
+REFEREES = [
+    (general_huff_family, family_referee.general_huff_family),
+    (huff_family, family_referee.huff_family),
+    (weierstrass_family, family_referee.weierstrass_family),
+    (general_huff_quartic_family, quartic_referee.quartic_family),
 ]
 
 
@@ -240,42 +246,24 @@ def test_quartic_family_matches_the_direct_sum(p, r, field):
 
 @pytest.mark.parametrize("p,r", [(151, 1), (149, 1), (5, 3), (11, 2), (3, 4), (37, 1),
                                  (7, 2), (13, 1), (3, 2), (3, 3)])
-def test_line_count_families_match_the_broadcast_kernels(p, r, field):
+def test_ab_families_match_the_referees(p, r, field):
     ctx = field(p, r)
-    for family in (general_huff_family, weierstrass_family):
-        want = getattr(family_referee, family.__name__)(ctx)
-        assert family(ctx).tolist() == want.tolist(), family.__name__
+    for family, referee in REFEREES:
+        assert family(ctx).tolist() == referee(ctx).tolist(), family.__name__
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
-def test_line_count_families_do_not_depend_on_the_block(p, r, monkeypatch):
-    # the line counts take q cells per row and per step: a budget of 1 puts
-    # one row in a block, 3q three, and q^2 or 3q^2 every row in one block;
+def test_ab_families_do_not_depend_on_the_block(p, r, monkeypatch):
+    # a family's kernel takes 2q cells per r (q for Huff) and its gather q
+    # per row of a: a budget of 1 puts one row in a block, 3q one r or three
+    # rows, q^2 half the r's or every row, and 3q^2 every row in one block;
     # the referees cut their rows of a by about q^2 cells per a
     q = p ** r
     for budget in (1, 3 * q, q * q, 3 * q * q):
         monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         ctx = make_field(p, r)                     # fresh: tables are per field
-        for family in (general_huff_family, weierstrass_family):
-            want = getattr(family_referee, family.__name__)(ctx)
-            assert family(ctx).tolist() == want.tolist(), (family.__name__, budget)
-
-
-@pytest.mark.parametrize("p,r,budget", [(13, 1, None), (3, 2, None), (3, 3, 2 * 27),
-                                        (5, 2, None)])
-def test_line_counts_are_the_count_of_each_line(p, r, budget, monkeypatch):
-    # K[s, m] = #{i : s u[i] - v[i] = m} at random pairs with repeats; at
-    # q = 27 a budget of 2q cells cuts the rows s into 14 blocks
-    if budget is not None:
-        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
-    ctx = make_field(p, r)
-    q = ctx.q
-    u, v = np.random.default_rng(q).integers(0, q, size=(2, 4 * q))
-    want = np.zeros((q, q), dtype=np.int64)
-    for s in range(q):
-        for ui, vi in zip(u.tolist(), v.tolist()):
-            want[s, ctx.sub(ctx.mul(s, ui), vi)] += 1
-    assert _line_counts(ctx, u, v).tolist() == want.tolist()
+        for family, referee in REFEREES:
+            assert family(ctx).tolist() == referee(ctx).tolist(), (family.__name__, budget)
 
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2)])
@@ -309,8 +297,8 @@ def test_codes_outside_the_field_are_refused(p, r, field):
 
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
 def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
-    # a budget of 3q cells puts three rows of the line counts in a block
-    # (the last one shorter at q = 13); a budget of 1 puts one row in each
+    # a budget of 3q cells puts three rows of a in a gather block (the last
+    # one shorter at q = 13); a budget of 1 puts one row in each
     q = p ** r
     for budget in (3 * q, 1):
         monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
@@ -323,36 +311,14 @@ def test_family_tables_built_in_blocks_of_a_match_counts(p, r, monkeypatch):
         assert edwards_affine_family(ctx).tolist() == want, budget
 
 
-def _per_curve_survey(ctx, pairs):
-    """Every per-curve count and both general Huff <-> Weierstrass map
-    directions at ``pairs``, with each refusal as its message."""
-    def outcome(call, *args):
-        try:
-            return call(ctx, *args)
-        except ParameterError as exc:
-            return str(exc)
-    out = [outcome(count_edwards_affine, EdwardsParams(d2)) for d2 in range(ctx.q)]
-    for a, b in pairs:
-        out += [outcome(count_general_huff, GeneralHuffParams(a, b)),
-                outcome(count_huff, HuffParams(a, b)),
-                outcome(map_points, "ghuff", "weier", GeneralHuffParams(a, b)),
-                outcome(map_points, "weier", "ghuff", GeneralHuffParams(a, b))]
-    return out
-
-
-@pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (5, 2), (3, 3), (31, 1)])
-def test_per_curve_counts_and_maps_do_not_depend_on_the_block(p, r, monkeypatch):
-    # the counts and maps walk one axis and read no block budget, so every
-    # budget gives the same outcomes
-    q = p ** r
-    rng = random.Random(q)
-    pairs = [(0, 1), (1, 1), (1, 2)] + [(rng.randrange(q), rng.randrange(q))
-                                        for _ in range(12)]
-    want = _per_curve_survey(make_field(p, r), pairs)
-    assert sum(isinstance(w, str) for w in want) < len(want) // 2
-    for budget in (q, 1, 3 * q):
-        monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
-        assert _per_curve_survey(make_field(p, r), pairs) == want, budget
+def _traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_per_curve_kernels_stay_within_the_block_budget(field):
@@ -362,18 +328,15 @@ def test_per_curve_kernels_stay_within_the_block_budget(field):
     calls = {
         "count_general_huff": lambda: count_general_huff(ctx, GeneralHuffParams(1, 4)),
         "count_huff": lambda: count_huff(ctx, HuffParams(1, 2)),
+        "count_weierstrass": lambda: count_weierstrass(ctx, WeierstrassParams(1, 4)),
         "count_edwards_affine": lambda: count_edwards_affine(ctx, EdwardsParams(4)),
+        "count_general_huff_quartic":
+            lambda: count_general_huff_quartic(ctx, GeneralHuffParams(1, 4)),
         "map_points": lambda: map_points(ctx, "ghuff", "weier", GeneralHuffParams(1, 4)),
     }
     calls["count_huff"]()                       # field tables outside the trace
     for name, call in calls.items():
-        tracemalloc.start()
-        try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2 ** 20, (name, peak)
+        assert _traced_peak(call) < 64 * 2 ** 20, name
 
 
 def test_edwards_family_stays_within_the_block_budget():
@@ -381,13 +344,19 @@ def test_edwards_family_stays_within_the_block_budget():
     # blocks of BLOCK_CELLS cells
     ctx = make_field(4093)                         # fresh: tables are per field
     numpy_tables(ctx)
-    tracemalloc.start()
-    try:
-        edwards_affine_family(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: edwards_affine_family(ctx))
     assert peak < 64 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("family", [family for family, _, _ in AB_FAMILIES],
+                         ids=lambda family: family.__name__)
+def test_ab_families_stay_within_the_block_budget(family):
+    # the q x q int64 table at F_2003 is 30.6 MiB; besides it a build holds
+    # a row of 2q totals and a few blocks of BLOCK_CELLS cells (8 MiB each)
+    ctx = make_field(2003)                         # fresh: tables are per field
+    numpy_tables(ctx)
+    peak = _traced_peak(lambda: family(ctx))
+    assert peak < 2003 ** 2 * 8 + 32 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3),
@@ -397,6 +366,8 @@ def test_counts_families_and_points_are_the_enumeration(p, r, field):
     ctx = field(p, r)
     q, t = ctx.q, numpy_tables(ctx)
     edw, huff = edwards_affine_family(ctx), huff_family(ctx)
+    ghuff, weier = general_huff_family(ctx), weierstrass_family(ctx)
+    quartic = general_huff_quartic_family(ctx)
     for d2 in range(1, q):
         if d2 != ctx.one:
             want = enumeration.edwards_affine(ctx, d2)
@@ -408,12 +379,14 @@ def test_counts_families_and_points_are_the_enumeration(p, r, field):
                 assert count_huff(ctx, HuffParams(a, b)).total == huff[a, b] == want, (a, b)
             if a == b:
                 continue
-            want = enumeration.general_huff_affine(ctx, a, b)
-            assert count_general_huff(ctx, GeneralHuffParams(a, b)).affine == want, (a, b)
-            listed = _model_points(t, a, b)
-            for (x, y), points in zip(listed, (enumeration.general_huff_points,
-                                               enumeration.weierstrass_points)):
-                assert np.sort(x * q + y).tolist() == points(ctx, a, b).tolist(), (a, b)
+            points = (enumeration.general_huff_points(ctx, a, b),
+                      enumeration.weierstrass_points(ctx, a, b))
+            want = len(points[0]) + 3
+            assert count_general_huff(ctx, GeneralHuffParams(a, b)).total == want, (a, b)
+            assert ghuff[a, b] == quartic[a, b] == want, (a, b)
+            assert weier[a, b] == len(points[1]) + 1, (a, b)
+            for (x, y), want in zip(_model_points(t, a, b), points):
+                assert np.sort(x * q + y).tolist() == want.tolist(), (a, b)
 
 
 @pytest.mark.parametrize("p,r", [(65521, 1), (3, 10)])
