@@ -20,8 +20,6 @@ from .audit import (
 )
 from .chars import (
     Character,
-    binomial_symbol,
-    jacobi_sum,
     phi_at_minus_one,
     quadratic_character,
     trivial_character,
@@ -42,7 +40,6 @@ from .curves import (
     map_points,
 )
 from .cyclo import (
-    GroupRingElement,
     NonRationalValueError,
     cyclotomic_polynomial,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "FieldContext",
     "FieldError",
     "GeneralHuffParams",
-    "GroupRingElement",
     "HuffParams",
     "HypSpec",
     "Identity",
@@ -84,7 +80,6 @@ __all__ = [
     "TwoSquares",
     "WeierstrassParams",
     "audit_identity",
-    "binomial_symbol",
     "cornacchia",
     "count_edwards_affine",
     "count_general_huff",
@@ -96,7 +91,6 @@ __all__ = [
     "emit_chunks",
     "hyp_eval",
     "identity_by_key",
-    "jacobi_sum",
     "make_field",
     "map_points",
     "odd_prime_powers",

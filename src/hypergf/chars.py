@@ -11,9 +11,7 @@ Jacobi sums and binomial symbols are integer vectors over the
 (q-1)-th roots of unity (``jacobi_vector``, ``scaled_binomial_vector``),
 accumulated as raw counts with no canonicalization inside the loops.
 Their kernel :func:`jacobi_terms` also gives the series recursion in
-:mod:`hypergf.hyp` its Jacobi-type terms.  :func:`jacobi_sum` and
-:func:`binomial_symbol` wrap one vector in a
-:class:`~hypergf.cyclo.GroupRingElement` for display.
+:mod:`hypergf.hyp` its Jacobi-type terms.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import GroupRingElement
 from .ff import FieldContext, NumpyTables, numpy_tables
 
 
@@ -43,6 +40,14 @@ def trivial_character(ctx: FieldContext) -> Character:
 
 def quadratic_character(ctx: FieldContext) -> Character:
     return Character(ctx, (ctx.q - 1) // 2)
+
+
+def same_field(*chars: Character) -> FieldContext:
+    """The one field of ``chars``; ValueError if they mix fields."""
+    ctx = chars[0].ctx
+    if any(chi.ctx != ctx for chi in chars):
+        raise ValueError("all characters must share one field")
+    return ctx
 
 
 def char_sign_at_minus_one(ctx: FieldContext, j: int) -> int:
@@ -86,29 +91,3 @@ def scaled_binomial_vector(ctx: FieldContext, ja: int, jb: int) -> list[int]:
     if char_sign_at_minus_one(ctx, jb) < 0:
         return [-c for c in vec]
     return vec
-
-
-# ---------------------------------------------------------------------------
-# display values
-# ---------------------------------------------------------------------------
-
-def same_field(*chars: Character) -> FieldContext:
-    """The one field of ``chars``; ValueError if they mix fields."""
-    ctx = chars[0].ctx
-    if any(chi.ctx != ctx for chi in chars):
-        raise ValueError("all characters must share one field")
-    return ctx
-
-
-def jacobi_sum(a: Character, b: Character) -> GroupRingElement:
-    """J(A, B) = sum over x in F_q of A(x) B(1-x), exact."""
-    ctx = same_field(a, b)
-    return GroupRingElement(ctx.q - 1, jacobi_vector(ctx, a.j, b.j))
-
-
-def binomial_symbol(a: Character, b: Character) -> GroupRingElement:
-    """(A choose B) = B(-1)/q * J(A, conj(B)); q times it is a cyclotomic
-    integer."""
-    ctx = same_field(a, b)
-    vec = scaled_binomial_vector(ctx, a.j, b.j)
-    return GroupRingElement(ctx.q - 1, vec, denominator=ctx.q)

@@ -18,6 +18,7 @@ the first coefficient is negative).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -25,8 +26,8 @@ from fractions import Fraction
 
 from . import audit as audit_mod
 from . import curves
-from .chars import Character, binomial_symbol, jacobi_sum
-from .cyclo import NonRationalValueError
+from .chars import Character, jacobi_vector, scaled_binomial_vector
+from .cyclo import NonRationalValueError, reduce_mod_cyclotomic
 from .ff import FieldError, check_field_size, make_field
 from .hyp import HypSpec, check_order, cornacchia, hyp_eval, ono_value_minus1, two_f_one
 
@@ -194,20 +195,34 @@ def _cmd_special(args) -> int:
     return 0
 
 
+def _render(vec, n: int, den: int) -> dict:
+    """The value sum(vec[m] z**m) / den, z a primitive n-th root of unity:
+    its remainder modulo Phi_n as a polynomial in z, and its complex
+    embedding at double precision (a diagnostic, never a source of truth)."""
+    parts = []
+    for m, c in enumerate(Fraction(c, den) for c in reduce_mod_cyclotomic(vec, n)):
+        if not c:
+            continue
+        mono = "z" if m == 1 else f"z^{m}"
+        if m == 0:
+            parts.append(str(c))
+        elif abs(c) == 1:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    poly = "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in parts[1:])
+    z = sum(c / den * cmath.exp(2j * cmath.pi * m / n) for m, c in enumerate(vec) if c)
+    return {"poly": parts[0] + poly if parts else "0", "embedding": [z.real, z.imag]}
+
+
 def _cmd_charsum(args) -> int:
     ctx = make_field(args.p, args.r)
-    a = Character(ctx, args.ja)
-    b = Character(ctx, args.jb)
-    jac = jacobi_sum(a, b)
-    binom = binomial_symbol(a, b)
-
-    def render(elt):
-        z = elt.embed()
-        return {"poly": elt.poly_string(), "embedding": [z.real, z.imag]}
-
+    n = ctx.q - 1
+    ja, jb = args.ja % n, args.jb % n
     out = {
-        "q": ctx.q, "n": ctx.q - 1, "ja": a.j, "jb": b.j,
-        "jacobi": render(jac), "binom": render(binom),
+        "q": ctx.q, "n": n, "ja": ja, "jb": jb,
+        "jacobi": _render(jacobi_vector(ctx, ja, jb), n, 1),
+        "binom": _render(scaled_binomial_vector(ctx, ja, jb), n, ctx.q),
     }
     print(json.dumps(out, separators=(",", ":")))
     return 0

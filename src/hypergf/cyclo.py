@@ -1,11 +1,12 @@
 """Exact values in the cyclotomic field of n-th roots of unity.
 
 A value is a vector of n integers, entry m multiplying zeta**m for
-zeta = exp(2*pi*i/n).  Raw vectors are not unique representatives: two
-are the same number when their remainders modulo the n-th cyclotomic
-polynomial Phi_n agree.  The one reduction is an integer long division,
-at their nonzero terms, by a chain of multiples of Phi_n that ends in
-Phi_n; it gives the canonical form.
+zeta = exp(2*pi*i/n), over a denominator its caller keeps apart.  Raw
+vectors are not unique representatives: two are the same number when
+their remainders modulo the n-th cyclotomic polynomial Phi_n agree.  The
+one reduction is an integer long division by a chain of multiples of
+Phi_n that ends in Phi_n, a numpy row step per top row; it gives the
+canonical form (:func:`reduce_mod_cyclotomic`).
 
 Rationality is read a whole block of vectors at a time, in the power
 basis of Z[zeta_n] as the tensor product of the Z[zeta_Q] over the prime
@@ -18,20 +19,15 @@ coordinate but the origin is 0 (:func:`rational_values`).  Each fold at
 most doubles an entry, so the block stays in int64 while its largest
 entry times 2**omega(n) (omega(n) the number of primes of n) is below
 2**63, and is held as Python ints otherwise.
-
-:class:`GroupRingElement` holds such a vector over one denominator for
-display only: its canonical form, a polynomial string and a floating
-:meth:`~GroupRingElement.embed` that is a diagnostic cross-check, never
-a source of truth.
 """
 
 from __future__ import annotations
 
-import cmath
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -39,67 +35,96 @@ from .ff import prime_factors, row_blocks
 
 
 class NonRationalValueError(ValueError):
-    """A group-ring element expected to be rational is not."""
+    """A value expected to be rational is not."""
+
+
+def _integers(values) -> np.ndarray:
+    """``values`` as an integer array: numpy integers as they are, Python
+    ints as objects; TypeError for any other entry."""
+    values = np.asarray(values)
+    if values.dtype == object:
+        return np.frompyfunc(operator.index, 1, 1)(values)
+    if values.dtype.kind not in "iu" and values.size:
+        raise TypeError(f"expected integer entries, got {values.dtype}")
+    return values
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low first.
 
-    Computed as the product over d | n of (x**d - 1)**mu(n/d): every
-    factor multiplies or exactly divides by a binomial, O(n) each.
+    Computed as the product over the squarefree n/d of (x**d - 1)**mu(n/d):
+    every factor multiplies by, or exactly divides by, a binomial in a few
+    numpy steps, a quotient being a negated cumsum down the (rows, d)
+    reshape.  Exact: int64 while the length times the 1-norm stays below
+    2**62 (a product at most doubles the 1-norm, and every quotient
+    coefficient is a partial sum of the dividend's), else Python ints.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial index must be >= 1")
-    ups, downs = [], []
-    for d in range(1, n + 1):
-        if n % d == 0:
-            primes = prime_factors(n // d)
-            if prod(primes) == n // d:          # mu(n/d) = (-1)**len(primes)
-                (downs if len(primes) % 2 else ups).append(d)
-    poly = [1]
-    for d in ups:
-        # times x**d - 1
-        poly = [0] * d + poly
-        for i in range(len(poly) - d):
-            poly[i] -= poly[i + d]
-    for d in downs:
-        # divided by x**d - 1, from the low end: a_i = quo_(i-d) - quo_i
-        quo = []
-        for i in range(len(poly) - d):
-            quo.append((quo[i - d] if i >= d else 0) - poly[i])
-        top = ([0] * d + quo)[-d:]
-        assert top == poly[-d:], f"x^{d}-1 does not divide the product"
-        poly = quo
-    return tuple(poly)
+    primes = prime_factors(n)
+    # (d, mu(n/d) = -1) for n/d the product of k distinct primes of n
+    factors = [(n // prod(sub), k % 2 == 1)
+               for k in range(len(primes) + 1) for sub in combinations(primes, k)]
+    poly, norm = np.ones(1, dtype=np.int64), 1
+    for d, divide in sorted(factors, key=lambda f: f[1]):   # every product first
+        if poly.dtype != object and len(poly) * norm >= 1 << 62:
+            poly = poly.astype(object)
+        size = len(poly)
+        if not divide:
+            # times x**d - 1
+            pad = np.zeros(d, dtype=poly.dtype)
+            poly = np.concatenate([pad, poly]) - np.concatenate([poly, pad])
+        else:
+            # divided by x**d - 1, from the low end: quo_i = quo_(i-d) - poly_i
+            rows = np.concatenate([poly, np.zeros(-size % d, dtype=poly.dtype)])
+            quo = -np.cumsum(rows.reshape(-1, d), axis=0).reshape(-1)
+            assert not quo[size - d:].any(), f"x^{d}-1 does not divide the product"
+            poly = quo[:size - d]
+        norm = int(np.abs(poly).sum())
+    return tuple(poly.tolist())
 
 
 def reduce_mod_cyclotomic(vec, n: int) -> tuple[int, ...]:
-    """Remainder of sum(vec[m] * x**m) modulo Phi_n, as a tuple of phi(n)
-    ints.  The entries must be integers (Python or numpy).
+    """Remainder of sum(vec[m] * x**m) modulo Phi_n, as a tuple of
+    min(len(vec), phi(n)) ints.  The entries must be integers (Python or
+    numpy).
 
     With p_1 < ... < p_k the primes of n and m_i = p_1 ... p_i, the long
-    division runs by the monic Phi_(m_i)(x**(n/m_i)) in turn, subtracting
-    at its nonzero terms only.  Each divisor has zeta_n as a root, so is a
-    multiple of Phi_n, and the last is Phi_n itself: the remainder is the
-    one by Phi_n alone, while a dense Phi_n (n = 2p) meets only the few
-    coefficients the earlier divisions leave."""
-    work = list(map(operator.index, vec))
+    division runs by the monic Phi_(m_i)(x**s), s = n/m_i, in turn.  Each
+    divisor has zeta_n as a root, so is a multiple of Phi_n, and the last is
+    Phi_n itself: the remainder is the one by Phi_n alone, while a dense
+    Phi_n (n = 2p) meets only the few coefficients the earlier divisions
+    leave.  A divisor in x**s divides each residue class mod s on its own,
+    so the vector is held as a (rows, s) array and each top row, from the
+    last, takes one numpy step at the nonzero terms of Phi_(m_i).  Exact:
+    int64 while a running bound on every entry (the largest input entry,
+    plus max|Phi_(m_i)| times the largest entry of each top row divided
+    out) stays below 2**62, else Python ints."""
+    work = _integers(vec)
+    size = len(work)
+    bound = max(int(work.max(initial=0)), -int(work.min(initial=0)))
+    work = work.astype(np.int64 if bound < 1 << 62 else object)
     m = 1
     for p in prime_factors(n) or [1]:                   # n = 1: Phi_1 alone
         m *= p
         step = n // m
-        phi = cyclotomic_polynomial(m)
-        deg = (len(phi) - 1) * step
-        terms = [(j * step, c) for j, c in enumerate(phi[:-1]) if c]
-        for k in range(len(work) - 1, deg - 1, -1):
-            c = work[k]
-            if c:
-                base = k - deg
-                for j, pj in terms:
-                    work[base + j] -= c * pj
-        del work[deg:]
-    return tuple(work)
+        phi = np.array(cyclotomic_polynomial(m))
+        deg = len(phi) - 1
+        terms = np.flatnonzero(phi[:-1])
+        coef = phi[terms, None]
+        height = int(np.abs(phi).max())
+        rows = np.concatenate([work, np.zeros(-len(work) % step, dtype=work.dtype)])
+        rows = rows.reshape(-1, step)
+        for i in range(len(rows) - 1, deg - 1, -1):
+            top = max(int(rows[i].max()), -int(rows[i].min()))
+            if top:
+                bound += height * top
+                if bound >= 1 << 62 and rows.dtype != object:
+                    rows = rows.astype(object)
+                rows[i - deg + terms] -= coef * rows[i]
+        work = rows[:deg].reshape(-1)
+    return tuple(work[:size].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +158,7 @@ def rational_values(rows, n: int) -> np.ndarray:
     rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"expected an (R, {n}) block, got shape {rows.shape}")
-    if rows.dtype == object:
-        rows = np.frompyfunc(operator.index, 1, 1)(rows)
-    elif rows.dtype.kind not in "iu":
-        raise TypeError(f"expected integer entries, got {rows.dtype}")
+    rows = _integers(rows)
     axes, order = _crt_axes(n)
     peak = max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
     dtype = np.int64 if peak << len(axes) < (1 << 63) else object
@@ -180,68 +202,3 @@ def convolve_cyclic(a, b, n: int) -> list[int]:
     padded = np.concatenate([full, np.zeros(-len(full) % n, dtype=dtype)])
     return padded.reshape(-1, n).sum(axis=0).tolist()
 
-
-class GroupRingElement:
-    """An exact element of the rational group ring over Z_n, held for
-    display: integer coefficients ``num`` of zeta**0 .. zeta**(n-1) over
-    one positive denominator ``den``, in lowest terms.
-
-    It does no arithmetic and compares by identity; compare values by
-    :meth:`canonical`.
-    """
-
-    __slots__ = ("n", "num", "den")
-
-    def __init__(self, n: int, coeffs, denominator: int = 1):
-        """The element sum(coeffs[m] * zeta**m) / denominator, for integer
-        coefficients and a positive integer denominator."""
-        if n < 1:
-            raise ValueError("group ring modulus must be >= 1")
-        num = tuple(map(operator.index, coeffs))
-        if len(num) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(num)}")
-        if denominator < 1:
-            raise ValueError(f"group-ring denominator must be >= 1, got {denominator}")
-        g = gcd(denominator, *num)
-        self.n = n
-        self.num = tuple(c // g for c in num)
-        self.den = denominator // g
-
-    # -- extraction ----------------------------------------------------------
-
-    def canonical(self) -> tuple[Fraction, ...]:
-        """Canonical form: remainder mod Phi_n, a tuple of phi(n) rationals."""
-        return tuple(Fraction(c, self.den) for c in reduce_mod_cyclotomic(self.num, self.n))
-
-    def embed(self) -> complex:
-        """Complex image under zeta -> exp(2*pi*i/n), at double precision.
-        Diagnostic only; never a source of truth."""
-        return sum(
-            c / self.den * cmath.exp(2j * cmath.pi * m / self.n)
-            for m, c in enumerate(self.num) if c
-        )
-
-    # -- display ---------------------------------------------------------------
-
-    def __repr__(self):
-        return f"GroupRingElement(n={self.n}, {self.poly_string()})"
-
-    def poly_string(self) -> str:
-        """Canonical form rendered as a polynomial in z (a primitive n-th
-        root of unity)."""
-        parts = []
-        for m, c in enumerate(self.canonical()):
-            if not c:
-                continue
-            if m == 0:
-                parts.append(str(c))
-            else:
-                mono = "z" if m == 1 else f"z^{m}"
-                parts.append(f"{c}*{mono}" if abs(c) != 1 else
-                             (mono if c > 0 else f"-{mono}"))
-        if not parts:
-            return "0"
-        joined = parts[0]
-        for t in parts[1:]:
-            joined += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return joined

@@ -136,19 +136,29 @@ def hyp_eval(spec: HypSpec) -> Fraction:
 def hyp_numerators(top: tuple[Character, ...], bottom: tuple[Character, ...],
                    xs) -> np.ndarray:
     """q**(k-1) times :func:`hyp_eval` at every argument code of ``xs``, for
-    k = len(top), as an int64 column: one pass of the recursion and one
-    block extraction (:func:`~hypergf.cyclo.rational_values`)."""
+    k = len(top), as an int64 column.  The levels below the top one are
+    built once; the top level's rows are built and read
+    (:func:`~hypergf.cyclo.rational_values`) one ``row_blocks`` block of
+    arguments at a time."""
     ctx = _check_characters(top, bottom)
-    rows = _series_rows(ctx, [chi.j for chi in top], [chi.j for chi in bottom],
-                        np.asarray([ctx.check_code(x) for x in xs], dtype=np.int64))
-    # a value is at most the row's q**(k-1) terms, below 2**62 by check_order
-    return rational_values(rows, ctx.q - 1).astype(np.int64)
+    tops, bots = [chi.j for chi in top], [chi.j for chi in bottom]
+    xs = np.asarray([ctx.check_code(x) for x in xs], dtype=np.int64)
+    check_order(ctx.q, len(tops))
+    below = (_series_rows(ctx, tops[:-1], bots[:-1], np.arange(ctx.q))
+             if len(tops) >= 3 else None)
+    out = np.empty(len(xs), dtype=np.int64)
+    for s in row_blocks(len(xs), ctx.q - 1):
+        # a value is at most the row's q**(k-1) terms, below 2**62 by check_order
+        out[s] = rational_values(_series_rows(ctx, tops, bots, xs[s], below), ctx.q - 1)
+    return out
 
 
 def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],
-                 xs: np.ndarray) -> np.ndarray:
+                 xs: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
     """q**(k-1) times the order-k series at each code of ``xs``, as an
-    int64 row of zeta-coefficients per argument."""
+    int64 row of zeta-coefficients per argument.  For k >= 3 the top level
+    sums the rows of the order k-1 series at every code, ``below``, which
+    is built here unless given."""
     check_order(ctx.q, len(tops))
     t = numpy_tables(ctx)
     if len(tops) == 1:
@@ -158,14 +168,14 @@ def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],
         live = np.flatnonzero((xs != 0) & (omx != 0))
         rows[live, (-tops[0] * t.log_[omx[live]]) % t.n] = 1
         return rows
-    # every level but the top one is needed at every xy, so at all codes
-    every = np.arange(ctx.q)
-    rows = _integral_rows(t, tops[0], tops[1], bots[0], xs if len(tops) == 2 else every)
-    rows *= char_sign_at_minus_one(ctx, tops[1] + bots[0])
-    for j in range(2, len(tops)):
-        rows = _recursion_rows(t, rows, tops[j], bots[j - 1],
-                               xs if j == len(tops) - 1 else every)
-        rows *= char_sign_at_minus_one(ctx, tops[j] + bots[j - 1])
+    if len(tops) == 2:
+        rows = _integral_rows(t, tops[0], tops[1], bots[0], xs)
+    else:
+        # the level below is needed at every xy, so at all codes
+        if below is None:
+            below = _series_rows(ctx, tops[:-1], bots[:-1], np.arange(ctx.q))
+        rows = _recursion_rows(t, below, tops[-1], bots[-1], xs)
+    rows *= char_sign_at_minus_one(ctx, tops[-1] + bots[-1])
     return rows
 
 

@@ -121,6 +121,12 @@ def test_evalnfn(capsys):
     (4093, 1, 1, 1, "3154137e35af9d80b3ad37688842faecdf724ac3e55f66feef40da9d3b821c02"),
     # 8039 = 2*4019 + 1: Phi_8038 is dense
     (8039, 1, 1, 1, "be3ac8f7c75d9becdfc36d2eb36f838ba41fff01ef2ffa9aecbe0844f9762532"),
+    # the fields of the costliest remainders up to 2**16: 58786 = 2*7*13*17*19,
+    # 65518 = 2*32759, 65520 = 2^4*3^2*5*7*13, and 3^10 - 1 = 2^3*11^2*61
+    (58787, 1, 1, 1, "c8001767e05afbf53064a93ae554ed3a210d1830c75b1ad632c50b5ef929a18f"),
+    (65519, 1, 1, 1, "9793e6506d5cc5ad25e0b305fec59a7348bdf2a5c3ab4c7d4666d441645dbd84"),
+    (65521, 1, 1, 1, "088fea612ea9464f896defee5c760b3f1e0aadd833f55e6c9af14e5dc29f8d4d"),
+    (3, 10, 1, 1, "81972a79edccad42ac01e51334705e8d49051c67866c307573f9ea2ff007126f"),
 ])
 def test_charsum_output_is_pinned(capsys, p, r, ja, jb, digest):
     # polynomials and float embeddings, byte for byte

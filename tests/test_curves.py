@@ -237,13 +237,6 @@ def test_family_tables_match_counts(p, r, field):
         assert edw[d2] == _reference(count_edwards_affine, EdwardsParams, ctx, d2), d2
 
 
-@pytest.mark.parametrize("p,r", [(151, 1), (149, 1), (5, 3), (11, 2), (3, 4), (13, 1),
-                                 (3, 2)])
-def test_quartic_family_matches_the_direct_sum(p, r, field):
-    ctx = field(p, r)
-    assert (general_huff_quartic_family(ctx) == quartic_referee.quartic_family(ctx)).all()
-
-
 @pytest.mark.parametrize("p,r", [(151, 1), (149, 1), (5, 3), (11, 2), (3, 4), (37, 1),
                                  (7, 2), (13, 1), (3, 2), (3, 3)])
 def test_ab_families_match_the_referees(p, r, field):

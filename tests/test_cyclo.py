@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import _convolve_referee as referee
-from hypergf import GroupRingElement, NonRationalValueError, cyclotomic_polynomial
+import _reduce_referee as reduce_referee
+from hypergf import NonRationalValueError, cyclotomic_polynomial
 from hypergf import ff
+from hypergf.cli import _render
 from hypergf.cyclo import (convolve_cyclic, rational_from_vector, rational_values,
                           reduce_mod_cyclotomic)
 
@@ -41,29 +43,29 @@ def test_cyclotomic_polynomials_match_sympy(ns):
 def test_unit_elements():
     assert rational_from_vector(Z(4, 0), 4) == 1
     assert rational_from_vector(Z(4, 2), 4) == -1      # zeta_4^2 = -1 via Phi_4 = x^2+1
-    assert GroupRingElement(4, Z(4, 2)).canonical() == (Fraction(-1), Fraction(0))
+    assert reduce_mod_cyclotomic(Z(4, 2), 4) == (-1, 0)
 
 
 def test_canonical_forms():
-    assert GroupRingElement(4, (1, 1, 1, 1)).canonical() == (0, 0)  # full orbit
-    assert GroupRingElement(4, (0, 0, 0, 0)).canonical() == (0, 0)
-    assert GroupRingElement(4, Z(4, 2)).canonical() == (-1, 0)
+    assert reduce_mod_cyclotomic((1, 1, 1, 1), 4) == (0, 0)  # full orbit
+    assert reduce_mod_cyclotomic((0, 0, 0, 0), 4) == (0, 0)
+    assert reduce_mod_cyclotomic(Z(4, 2), 4) == (-1, 0)
     # one value from distinct raw vectors: both are 2*zeta
-    assert (GroupRingElement(4, (1, 2, 1, 0)).canonical()
-            == GroupRingElement(4, (0, 1, 0, -1)).canonical() == (0, 2))
-    # a display value compares by identity, not by value
-    assert GroupRingElement(4, (1, 1, 1, 1)) != GroupRingElement(4, (1, 1, 1, 1))
+    assert reduce_mod_cyclotomic((1, 2, 1, 0), 4) == reduce_mod_cyclotomic((0, 1, 0, -1), 4) == (0, 2)
+
+
+def _embedding(vec, n, den=1):
+    re, im = _render(vec, n, den)["embedding"]
+    return complex(re, im)
 
 
 def test_embed():
-    z = GroupRingElement(4, Z(4, 1)).embed()
-    assert abs(z - 1j) < 1e-12
-    assert abs(GroupRingElement(4, (2, 0, 0, 0), denominator=5).embed() - 0.4) < 1e-12
+    assert abs(_embedding(Z(4, 1), 4) - 1j) < 1e-12
+    assert abs(_embedding((2, 0, 0, 0), 4, den=5) - 0.4) < 1e-12
     # embedding is invariant under canonical reduction
     for vec in [(1, 2, 3, 4), (0, 5, 0, -5), (7, 0, 7, 0)]:
-        elt = GroupRingElement(4, vec)
-        reduced = GroupRingElement(4, [int(c) for c in elt.canonical()] + [0, 0])
-        assert abs(elt.embed() - reduced.embed()) < 1e-6
+        reduced = list(reduce_mod_cyclotomic(vec, 4)) + [0, 0]
+        assert abs(_embedding(vec, 4) - _embedding(reduced, 4)) < 1e-6
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 12, 16])
@@ -106,42 +108,60 @@ def _dense_reduce(vec, n):
 @pytest.mark.parametrize("ns", [range(1, 400), (1008, 4092), (1394, 2042, 2310)])
 def test_reduction_matches_the_dense_division(ns):
     rng = random.Random(20240 + len(ns))
+    edge = (1 << 62) - 1
     for n in ns:
         # small entries mixed with entries beyond int64
         vec = [rng.randint(-b, b) for b in rng.choices((3, 1 << 70), k=n)]
         assert reduce_mod_cyclotomic(vec, n) == _dense_reduce(vec, n), n
+        # entries that start in int64, where the division passes 2**62
+        vec = [rng.choice((-edge, edge)) for _ in range(n)]
+        assert reduce_mod_cyclotomic(np.array(vec), n) == _dense_reduce(vec, n), n
+    # edge (x - x^4 - x^5) = edge (-1 + 3x) mod x^2 - x + 1: past 2**63, not wrapped
+    got = reduce_mod_cyclotomic(np.array([0, edge, 0, 0, -edge, -edge]), 6)
+    assert got == _dense_reduce([0, edge, 0, 0, -edge, -edge], 6) == (-edge, 3 * edge)
+
+
+def test_reduction_matches_the_chain_referee():
+    # the Python long division, at sizes the dense one is too slow for: 8038
+    # takes Phi_8038 of degree 4018, 65520 six primes; and vectors shorter
+    # and longer than n, whose remainders have min(len, phi(n)) entries
+    rng = random.Random(8038)
+    for n in (8038, 65520):
+        for bound in (40, 1 << 70):
+            vec = [rng.randint(-bound, bound) for _ in range(n)]
+            assert reduce_mod_cyclotomic(vec, n) == reduce_referee.reduce_mod_cyclotomic(vec, n), n
+    for n in (1, 2, 6, 12, 30, 105):
+        for size in (1, n // 2 + 1, n, 2 * n + 3):
+            vec = [rng.randint(-9, 9) for _ in range(size)]
+            got = reduce_mod_cyclotomic(vec, n)
+            assert got == reduce_referee.reduce_mod_cyclotomic(vec, n), (n, size)
+            assert all(type(c) is int for c in got)
+    for n in (1, 2, 12, 105, 8038, 65520):
+        assert cyclotomic_polynomial(n) == reduce_referee.cyclotomic_polynomial(n), n
 
 
 def test_reduction_takes_integer_vectors_only():
     assert reduce_mod_cyclotomic(np.array([1, 2, 3, 4], dtype=np.int64), 4) == (-2, -2)
+    assert reduce_mod_cyclotomic([], 4) == reduce_referee.reduce_mod_cyclotomic([], 4) == ()
     with pytest.raises(TypeError):
         reduce_mod_cyclotomic([Fraction(1, 2), 0, 0, 0], 4)
 
 
 def test_one_denominator_in_lowest_terms():
-    half = GroupRingElement(4, (2, 3, 0, 4), denominator=4)
-    assert (half.num, half.den) == ((2, 3, 0, 4), 4)
-    eighth = GroupRingElement(4, (6, 0, -4, 2), denominator=8)
-    assert (eighth.num, eighth.den) == ((3, 0, -2, 1), 4)
-    third = GroupRingElement(4, (6, 0, -4, 2), denominator=9)
-    assert (third.num, third.den) == ((6, 0, -4, 2), 9)
-    zero = GroupRingElement(4, (0, 0, 0, 0), denominator=7)
-    assert (zero.num, zero.den) == ((0,) * 4, 1)
-    assert GroupRingElement(4, np.array([2, 0, 0, 0]), 2).num == (1, 0, 0, 0)
-    for den in (0, -8):
-        with pytest.raises(ValueError, match="denominator"):
-            GroupRingElement(4, (1, 0, 0, 0), denominator=den)
+    # a vector over a denominator renders as its value in lowest terms
+    assert _render((2, 3, 0, 4), 4, 4)["poly"] == "1/2 - 1/4*z"
+    assert _render((6, 0, -4, 2), 4, 8) == _render((3, 0, -2, 1), 4, 4)
+    assert _render((6, 0, -4, 2), 4, 9)["poly"] == "10/9 - 2/9*z"
+    assert _render((0, 0, 0, 0), 4, 7) == {"poly": "0", "embedding": [0, 0]}
+    assert _render(np.array([2, 0, 0, 0]), 4, 2) == _render((1, 0, 0, 0), 4, 1)
     with pytest.raises(TypeError):
-        GroupRingElement(4, (Fraction(1, 2), 0, 0, 0))
+        _render((Fraction(1, 2), 0, 0, 0), 4, 1)
 
 
 def test_reduce_and_rational_kernel():
-    # the integer kernel agrees with the display value
     vec = [3, -1, 4, 1, -5, 9, 2, 6]
     n = 8
-    obj = GroupRingElement(n, vec)
-    assert tuple(reduce_mod_cyclotomic(vec, n)) == tuple(
-        int(c) for c in obj.canonical())
+    assert reduce_mod_cyclotomic(vec, n) == (8, -10, 2, -5)      # Phi_8 = x^4 + 1
     assert rational_from_vector([7, 0, 0, 0], 4) == 7
     assert rational_from_vector([5], 1) == 5             # Phi_1 = x - 1
 
@@ -264,7 +284,9 @@ def test_convolve_cyclic_big_values_fall_back_exactly():
 
 
 def test_poly_string():
-    assert GroupRingElement(4, Z(4, 1)).poly_string() == "z"
-    assert GroupRingElement(4, (1, -1, 0, 0)).poly_string() == "1 - z"
-    assert GroupRingElement(4, (0, 0, 0, 0)).poly_string() == "0"
-    assert GroupRingElement(4, (1, 0, 0, 3), denominator=2).poly_string() == "1/2 - 3/2*z"
+    assert _render(Z(4, 1), 4, 1)["poly"] == "z"
+    assert _render((1, -1, 0, 0), 4, 1)["poly"] == "1 - z"
+    assert _render((0, 0, 0, 0), 4, 1)["poly"] == "0"
+    assert _render((1, 0, 0, 3), 4, 2)["poly"] == "1/2 - 3/2*z"
+    assert _render((0, -1, 0, 0, 0, 2), 6, 1)["poly"] == "2 - 3*z"     # zeta^5 = 1 - zeta
+    assert _render((0, 0, 3), 12, 1)["poly"] == "3*z^2"

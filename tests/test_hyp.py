@@ -21,7 +21,6 @@ from hypergf import (
     ff,
     hyp,
     hyp_eval,
-    jacobi_sum,
     make_field,
     ono_value_minus1,
     phi_at_minus_one,
@@ -30,6 +29,7 @@ from hypergf import (
     two_f_one,
 )
 from hypergf.audit import cached_field, identity_by_key
+from hypergf.chars import same_field
 from hypergf.cyclo import NonRationalValueError, rational_from_vector, reduce_mod_cyclotomic
 from hypergf.ff import FieldError, is_prime, odd_prime_powers
 
@@ -175,7 +175,7 @@ def test_fields_that_differ_in_generator_do_not_mix(field):
     assert chi != chi_alt     # chi_1(6) is a different root of unity on each
     eps = trivial_character(default)
     with pytest.raises(ValueError, match="one field"):
-        jacobi_sum(chi, chi_alt)
+        same_field(chi, chi_alt)
     with pytest.raises(ValueError, match="one field"):
         HypSpec(top=(chi, chi_alt), bottom=(eps,), x=2)
 
@@ -273,22 +273,35 @@ def test_recursion_matches_the_chi_sum(spec):
         assert hyp_eval(spec) == want
 
 
+def _numerators_or_none(ctx, tops, bots, xs):
+    """hyp_numerators at ``xs``, or None if a value there is not rational."""
+    try:
+        return hyp.hyp_numerators(tuple(Character(ctx, j) for j in tops),
+                                  tuple(Character(ctx, j) for j in bots), xs).tolist()
+    except NonRationalValueError:
+        return None
+
+
 @pytest.mark.parametrize("p,r", [(13, 1), (3, 2), (3, 3)])
 def test_series_rows_do_not_depend_on_the_block(p, r, monkeypatch):
     # the default budget takes every code in one block; 1 and n put one
-    # row in each block of both kernels, and 3n three (the last one shorter
-    # unless 3 divides q)
+    # row in each block of both kernels and of hyp_numerators' top level,
+    # and 3n three (the last one shorter unless 3 divides q)
     q = p ** r
     n = q - 1
     xs = np.arange(q)
     cases = [(tops[:k], bots[:k - 1]) for k in (2, 3, 4)
              for tops, bots in (([n // 2] * 4, [0] * 3), ([1, 3, n // 2, 2], [n - 1, 0, 5]))]
-    want = [hyp._series_rows(make_field(p, r), tops, bots, xs) for tops, bots in cases]
+    ctx = make_field(p, r)
+    want = [hyp._series_rows(ctx, tops, bots, xs) for tops, bots in cases]
+    nums = [_numerators_or_none(ctx, tops, bots, xs) for tops, bots in cases]
+    assert nums[0] is not None and nums[2] is not None      # the phi-only cases
     for budget in (1, n, 3 * n):
         monkeypatch.setattr(ff, "BLOCK_CELLS", budget)
         ctx = make_field(p, r)
-        for (tops, bots), rows in zip(cases, want):
+        for (tops, bots), rows, num in zip(cases, want, nums):
             assert (hyp._series_rows(ctx, tops, bots, xs) == rows).all(), (budget, tops, bots)
+            assert _numerators_or_none(ctx, tops, bots, xs) == num, (budget, tops, bots)
 
 
 def _per_row_numerators(ctx, top, bottom, xs):
