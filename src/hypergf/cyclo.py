@@ -56,9 +56,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     Computed as the product over the squarefree n/d of (x**d - 1)**mu(n/d):
     every factor multiplies by, or exactly divides by, a binomial in a few
     numpy steps, a quotient being a negated cumsum down the (rows, d)
-    reshape.  Exact: int64 while the length times the 1-norm stays below
+    reshape.  Exact in int64 while the length times the 1-norm stays below
     2**62 (a product at most doubles the 1-norm, and every quotient
-    coefficient is a partial sum of the dividend's), else Python ints.
+    coefficient is a partial sum of the dividend's), as at every n <= 2**16;
+    OverflowError beyond that bound.
     """
     if n < 1:
         raise ValueError("cyclotomic polynomial index must be >= 1")
@@ -68,8 +69,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
                for k in range(len(primes) + 1) for sub in combinations(primes, k)]
     poly, norm = np.ones(1, dtype=np.int64), 1
     for d, divide in sorted(factors, key=lambda f: f[1]):   # every product first
-        if poly.dtype != object and len(poly) * norm >= 1 << 62:
-            poly = poly.astype(object)
+        if len(poly) * norm >= 1 << 62:
+            raise OverflowError(f"Phi_{n} is past the int64 bound")
         size = len(poly)
         if not divide:
             # times x**d - 1

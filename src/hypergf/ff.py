@@ -138,9 +138,9 @@ def _poly_rem(num, den: tuple[int, ...], p: int) -> list[int]:
 
 
 def _monic_polys(p: int, deg: int):
-    # all monic polynomials of the given degree, lexicographic in (c_0, ..)
+    # the monic polynomials of the given degree that t does not divide, lexicographic
     weights = _weights(p, deg)
-    for idx in range(p ** deg):
+    for idx in range(p ** (deg - 1), p ** deg):          # c_0 != 0
         yield tuple(_digits(idx, weights)) + (1,)
 
 
@@ -157,10 +157,8 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 def _find_modulus(p: int, r: int) -> tuple[int, ...]:
     if r == 1:
         return (0, 1)  # the polynomial t; degenerate prime-field modulus
-    for cand in _monic_polys(p, r):
-        if _is_irreducible(cand, p):
-            return cand
-    raise FieldError(f"no irreducible polynomial of degree {r} over F_{p}")
+    # a skipped multiple of t is reducible at r >= 2, and t divides no factor of the rest
+    return next(f for f in _monic_polys(p, r) if _is_irreducible(f, p))
 
 
 class FieldContext:

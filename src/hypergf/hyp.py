@@ -143,7 +143,7 @@ def hyp_numerators(top: tuple[Character, ...], bottom: tuple[Character, ...],
     ctx = _check_characters(top, bottom)
     tops, bots = [chi.j for chi in top], [chi.j for chi in bottom]
     xs = np.asarray([ctx.check_code(x) for x in xs], dtype=np.int64)
-    check_order(ctx.q, len(tops))
+    check_order(ctx.q, len(tops))        # once: every bound shrinks with the order
     below = (_series_rows(ctx, tops[:-1], bots[:-1], np.arange(ctx.q))
              if len(tops) >= 3 else None)
     out = np.empty(len(xs), dtype=np.int64)
@@ -158,8 +158,7 @@ def _series_rows(ctx: FieldContext, tops: list[int], bots: list[int],
     """q**(k-1) times the order-k series at each code of ``xs``, as an
     int64 row of zeta-coefficients per argument.  For k >= 3 the top level
     sums the rows of the order k-1 series at every code, ``below``, which
-    is built here unless given."""
-    check_order(ctx.q, len(tops))
+    is built here unless given; :func:`hyp_numerators` checks the order."""
     t = numpy_tables(ctx)
     if len(tops) == 1:
         # 1F0(A | x) = eps(x) conj(A)(1-x): one root of unity, or 0

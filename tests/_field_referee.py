@@ -1,11 +1,15 @@
-"""The per-element exp/log fill and generator search, as Python lists.
+"""The modulus search and the per-element exp/log fill, as Python lists.
 
-This is the referee :func:`hypergf.ff.make_field` is held to: each
-power of the generator is one schoolbook polynomial product reduced by
-the modulus, so it shares only the modulus search, the element codec
-and ``_power`` with the doubling fill.  O(q r^2) Python steps, which
-takes seconds at the largest fields; the tests use it in full only for
-q <= 1000 and for its product :func:`mul_codes` elsewhere.
+This is the referee :func:`hypergf.ff.make_field` is held to.  Its
+modulus search tries every monic candidate of degree r from code 0 on,
+each by trial division by every monic polynomial of degree <= r/2, so it
+takes no shortcut of ``ff._find_modulus`` and finds t itself at r = 1.
+Each power of the generator is one schoolbook polynomial product reduced
+by the modulus, so it shares only the remainder ``_poly_rem``, the
+element codec and ``_power`` with the doubling fill.  O(q r^2) Python
+steps, which takes seconds at the largest fields; the tests use the fill
+in full only for q <= 1000, and :func:`find_modulus` and the product
+:func:`mul_codes` elsewhere.
 
 :func:`with_generator` gives the tests a field with another generator,
 which ``make_field`` never picks, and :func:`power` powers by repeated
@@ -18,8 +22,24 @@ from math import gcd
 
 import numpy as np
 
-from hypergf.ff import (FieldContext, FieldError, _digits, _find_modulus, _poly_rem, _power,
-                        _weights, prime_factors)
+from hypergf.ff import (FieldContext, FieldError, _digits, _poly_rem, _power, _weights,
+                        prime_factors)
+
+
+def _monic(p: int, deg: int):
+    """Every monic polynomial of degree ``deg``, lexicographic in (c_0, ...)."""
+    weights = _weights(p, deg)
+    for code in range(p ** deg):
+        yield tuple(_digits(code, weights)) + (1,)
+
+
+def find_modulus(p: int, r: int) -> tuple[int, ...]:
+    """The lexicographically smallest monic irreducible of degree r over
+    F_p: the first candidate that no monic polynomial of degree <= r/2
+    divides."""
+    return next(cand for cand in _monic(p, r)
+                if all(any(_poly_rem(cand, f, p))
+                       for d in range(1, r // 2 + 1) for f in _monic(p, d)))
 
 
 def with_generator(ctx: FieldContext, u: int) -> FieldContext:
@@ -68,7 +88,7 @@ def power(ctx: FieldContext, a: int, e: int) -> int:
 def referee_field(p: int, r: int = 1, generator: int | None = None):
     """(modulus, gen, exp, log) of F_{p**r}: lists, with log[0] None."""
     q = p ** r
-    modulus = _find_modulus(p, r)
+    modulus = find_modulus(p, r)
     weights = _weights(p, r)
     one = weights[0]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hypergf
-from hypergf import audit, ff, hyp
+from hypergf import audit, cli, ff, hyp
 from hypergf.cli import run
 
 
@@ -176,6 +176,7 @@ def test_usage_errors(capsys):
 @pytest.mark.parametrize("argv", [
     ["special", "--p", "9"],
     ["special", "--p", "4"],
+    ["audit", "--all", "--qmax", "2"],
     ["audit", "--identity", "C1", "--qmax", "1000000000"],
     ["audit", "--identity", "C2", "--qmax", "65537"],
     ["audit", "--all", "--qmax", "65537"],
@@ -193,7 +194,7 @@ def test_usage_errors(capsys):
     ["audit", "--all", "--qmax", "5", "--jobs", "2"],
     ["audit", "--identity", "T5.3a", "--qmax", "4"],
     ["audit", "--identity", "T5.3b", "--qmax", "6"],
-], ids=["special-9", "special-4", "qmax-unbounded",
+], ids=["special-9", "special-4", "qmax-below-3", "qmax-unbounded",
         "identity-over-cap", "all-over-cap",
         "audit-over-work-budget", "identity-over-work-budget",
         "evalnfn-not-rational", "evalnfn-order-3-column-too-large",
@@ -215,6 +216,15 @@ def test_precondition_violations_exit_1(capsys, monkeypatch, argv):
     assert code == 1 and out == "" and "usage error" in err
     assert built == []                  # refused before any field is built
     assert err.count("\n") == 1 and len(err) < 200     # one short line
+
+
+def test_computation_errors_exit_2(capsys, monkeypatch):
+    # a failure inside a computation, not a refused precondition
+    def fail(ctx, lam):
+        raise ArithmeticError("the series failed")
+    monkeypatch.setattr(cli, "two_f_one", fail)
+    code, out, err = _run(capsys, "eval2f1", "--p", "5", "--lambda", "2")
+    assert (code, out, err) == (2, "", "error: the series failed\n")
 
 
 def test_audit_exit_codes(capsys):
@@ -277,7 +287,6 @@ def test_audit_provenance_mismatch_computes_nothing(capsys, monkeypatch):
 
 
 def test_evalnfn_order_bound_builds_no_field(capsys, monkeypatch):
-    from hypergf import cli
     built = []
     monkeypatch.setattr(cli, "make_field", lambda *args: built.append(args))
     for argv, reason in (("--p 65521 --top 1,2,3 --bottom 4,5 --x 2", "cell bound"),

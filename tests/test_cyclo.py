@@ -30,6 +30,9 @@ def test_cyclotomic_polynomials():
         assert len(poly) - 1 == deg and poly[-1] == 1
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+    # 2*3*5*...*17: its products pass the int64 bound, refused, not wrapped
+    with pytest.raises(OverflowError):
+        cyclotomic_polynomial(510510)
 
 
 @pytest.mark.parametrize("ns", [range(1, 400), (1008, 1020, 2046, 4092, 4095)])

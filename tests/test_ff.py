@@ -6,7 +6,7 @@ import pytest
 
 import _field_referee as referee
 from hypergf import Q_CAP, FieldError, make_field, odd_prime_powers
-from hypergf.ff import is_prime, numpy_tables, prime_factors
+from hypergf.ff import _find_modulus, is_prime, numpy_tables, prime_factors
 
 
 def test_make_field_f5(field):
@@ -57,6 +57,15 @@ def test_extension_moduli_are_lex_smallest(field):
     assert field(3, 3).modulus == (1, 0, 2, 1)
     assert field(7, 2).modulus == (1, 0, 1)
     assert field(3, 4).modulus == (1, 0, 1, 1, 1)
+
+
+def test_modulus_search_equals_the_full_search():
+    # ff skips the candidates and trial divisors that t divides; the
+    # referee tries every monic polynomial from code 0 on
+    extensions = [(p, r) for p, r in odd_prime_powers(Q_CAP) if r > 1]
+    assert len(extensions) == 78
+    for p, r in extensions:
+        assert _find_modulus(p, r) == referee.find_modulus(p, r), (p, r)
 
 
 def test_elements_order(field):
